@@ -1,8 +1,15 @@
 """Integer orbits of hydra maps and the cycle/periodic-point correspondence.
 
-Orbit iteration uses a visited-set to detect cycles; unresolved orbits
-are reported as 'escaped' past a magnitude bound or step budget, never
-as divergent.  Each integer cycle corresponds to the rational
+Every step is HydraMap.apply, which stays in integer arithmetic.  orbit
+walks one start until a repeat, the magnitude bound, or the step budget;
+unresolved orbits are reported as 'escaped', never as divergent.
+find_cycles and orbit_class_partition read one memoised pass over the
+range: each visited integer records its fate (a canonical cycle reached
+in a known number of steps, or the escape through a first value past
+the bound), a later start stops at the first recorded value it meets,
+and it takes a cycle only when its own steps plus the recorded ones fit
+the budget.  Every start therefore gets exactly orbit's fate, and no
+orbit is walked twice.  Each integer cycle corresponds to the rational
 n / (1 - p**len) built from its branch word, at which the numen takes a
 value inside the cycle; correspondence_roundtrip certifies that both
 ways and reverse_scan enumerates all short words to recover every
@@ -31,6 +38,13 @@ DEFAULT_ESCAPE_BOUND = 10 ** 18
 def _canonical_rotation(cycle: tuple[int, ...]) -> tuple[int, ...]:
     i = cycle.index(min(cycle))
     return cycle[i:] + cycle[:i]
+
+
+def _check_controls(max_steps: int, escape_bound: int) -> None:
+    if max_steps < 1:
+        raise ValueError(f"need max_steps >= 1, got {max_steps}")
+    if escape_bound < 0:
+        raise ValueError(f"need escape_bound >= 0, got {escape_bound}")
 
 
 @dataclass(frozen=True)
@@ -64,8 +78,10 @@ def orbit(
     """Iterate until a repeat, the magnitude bound, or the step budget.
 
     'escaped' is a bounded-resources statement about this run, not a
-    divergence claim.
+    divergence claim.  The start itself is never checked against the
+    bound; every iterate is.
     """
+    _check_controls(max_steps, escape_bound)
     seen = {start: 0}
     seq = [start]
     v = start
@@ -100,17 +116,92 @@ def find_cycles(
 ) -> set[tuple[int, ...]]:
     """All cycles reached from starts in [lo, hi], canonically rotated.
 
-    Each cycle is re-verified by applying the map around it once.
+    The cycles are read off one memoised pass over the range (see
+    _orbit_pass), so a start's cycle is the one orbit(H, start,
+    max_steps, escape_bound) reports.  Each cycle is re-verified by
+    applying the map around it once.
+    """
+    fates, _ = _orbit_pass(H, lo, hi, max_steps, escape_bound)
+    cycles = {cycle for cycle, _ in fates.values() if cycle}
+    for cycle in cycles:
+        _verify_cycle(H, cycle)
+    return cycles
+
+
+def _orbit_pass(
+    H: HydraMap, lo: int, hi: int, max_steps: int, escape_bound: int,
+) -> tuple[dict[int, tuple], dict[int, tuple]]:
+    """Walk the orbits of [lo, hi] once, sharing what earlier walks found.
+
+    memo[v] = (cycle, n) says that v, taken as a start, closes the
+    canonical cycle after exactly n steps with every later iterate inside
+    the bound; memo[v] = ((), w) says that v's orbit leaves the bound at
+    w before it closes, which no budget can change.  A start's walk stops
+    at its first recorded value u, after k steps: it escapes with u, or
+    it reaches u's cycle in k + n steps.  Either way the values it walked
+    are recorded.  A walk that exhausts the budget records nothing.
+
+    fates[s] is s's (cycle, n) when n <= max_steps; otherwise it is
+    ((), w) with the first value w past the bound, or ((), None) when
+    the budget alone stopped s.  So fates[s] has the cycle, or the
+    escape, of orbit(H, s, max_steps, escape_bound).
     """
     if lo > hi:
         raise ValueError(f"empty range [{lo}, {hi}]")
-    cycles: set[tuple[int, ...]] = set()
+    _check_controls(max_steps, escape_bound)
+    step = H.apply
+    memo: dict[int, tuple] = {}
+    shared: dict[tuple, tuple] = {}
+    fates: dict[int, tuple] = {}
     for start in range(lo, hi + 1):
-        report = orbit(H, start, max_steps, escape_bound)
-        if report.cycle and report.cycle not in cycles:
-            _verify_cycle(H, report.cycle)
-            cycles.add(report.cycle)
-    return cycles
+        if start not in memo:
+            _walk(step, start, memo, shared, max_steps, escape_bound)
+        cycle, n = memo.get(start, ((), None))
+        fates[start] = ((), None) if cycle and n > max_steps else (cycle, n)
+    return fates, memo
+
+
+def _walk(step, start: int, memo: dict, shared: dict, max_steps: int,
+          escape_bound: int) -> None:
+    # A start past the bound does not read the memo: a recorded escape
+    # may run through the start itself, which orbit never checks.  When
+    # such a start is periodic, the other members of its cycle do escape
+    # through it, so only the start is recorded.
+    reads = abs(start) <= escape_bound
+    seen = {start: 0}           # walked values, in order, to their index
+    v = start
+    for k in range(1, max_steps + 1):
+        v = step(v)
+        if v in seen:
+            i = seen[v]
+            path = list(seen)
+            cycle = _canonical_rotation(tuple(path[i:]))
+            if i == 0 and not reads:
+                path = path[:1]
+            for j, u in enumerate(path):
+                memo[u] = _shared_entry(shared, cycle, k - j if j < i else k - i)
+            return
+        if abs(v) > escape_bound:
+            entry = ((), v)
+            break
+        if reads and v in memo:
+            cycle, n = entry = memo[v]
+            if cycle:
+                for j, u in enumerate(seen):
+                    memo[u] = _shared_entry(shared, cycle, k - j + n)
+                return
+            break
+        seen[v] = k
+    else:
+        return
+    memo.update(dict.fromkeys(seen, entry))
+
+
+def _shared_entry(shared: dict, cycle: tuple, n: int) -> tuple:
+    # one (cycle, n) tuple per distinct entry, not one per value, keeps
+    # the memo no larger than a plain value -> start map
+    entry = (cycle, n)
+    return shared.setdefault(entry, entry)
 
 
 def _verify_cycle(H: HydraMap, cycle: tuple[int, ...]) -> None:
@@ -241,8 +332,10 @@ def correspondence_roundtrip(
     one is searched when it fails.  The reverse scan then enumerates all
     words up to scan_length; every integer fixed point it finds must lie
     on a discovered cycle, and stray values (integer periodic points
-    whose cycles were not reached from [lo, hi]) are reported.
+    whose cycles were not reached from [lo, hi]) are reported.  The
+    cycles come from find_cycles, so from its memoised pass.
     """
+    _check_controls(max_steps, escape_bound)
     props = classify(H)
     if not (props.integral and props.proper and props.centered):
         raise PreconditionError(
@@ -317,7 +410,7 @@ def _certify(
 
 @dataclass(frozen=True)
 class OrbitClass:
-    """One block of the orbit-intersection partition.
+    """One block of the orbit partition.
 
     label is the canonical cycle the block's orbits reach, or the
     string 'escaped' when they all left the budget unresolved.
@@ -334,69 +427,51 @@ def orbit_class_partition(
     max_steps: int = DEFAULT_MAX_STEPS,
     escape_bound: int = DEFAULT_ESCAPE_BOUND,
 ) -> list[OrbitClass]:
-    """Partition [lo, hi] by 'bounded forward orbits intersect'.
+    """Partition [lo, hi] by the fate of each start's bounded orbit.
 
-    Two starts land in one block exactly when their iterate sets (up to
-    the step/magnitude budget) share an element; intersecting orbits
-    merge tails, so each block carries a single consistent label.
-    Blocks are sorted by minimum member.
+    Every member is labelled with its own orbit(H, m, max_steps,
+    escape_bound) fate, read off the memoised pass that find_cycles
+    uses.  The starts that reach one cycle form one block.  The escaped
+    starts are split by shared iterates: two of them land in one block
+    when their orbits, up to and including the first value past the
+    bound, are linked by a chain of shared elements.  Blocks are sorted
+    by minimum member.
     """
-    if lo > hi:
-        raise ValueError(f"empty range [{lo}, {hi}]")
-    window = range(lo, hi + 1)
-    parent = {x: x for x in window}
+    fates, memo = _orbit_pass(H, lo, hi, max_steps, escape_bound)
+    parent: dict[int, int] = {}
 
     def find(x: int) -> int:
+        parent.setdefault(x, x)
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
     def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
+        parent[find(a)] = find(b)
 
-    claim: dict[int, int] = {}
-    outcome: dict[int, tuple] = {}
-    for x in window:
-        v = x
-        seen = {x: 0}
-        seq = [x]
-        claimant = claim.setdefault(x, x)
-        if claimant != x:
-            union(x, claimant)
-            outcome[x] = outcome[claimant]
+    # Escaped orbits that share an element leave the bound at the same
+    # first value, so each bound escape is keyed by that value.  A start
+    # past the bound is also an element its successors may share, and a
+    # start cut off by the budget is linked through its walked iterates.
+    for start, (cycle, witness) in fates.items():
+        if cycle:
             continue
-        result = None
-        for _ in range(max_steps):
-            v = H.apply(v)
-            if v in claim and claim[v] != x:
-                # shares an iterate with an earlier start: same fate
-                union(x, claim[v])
-                result = outcome[claim[v]]
-                break
-            claim[v] = x
-            if v in seen:
-                result = ("cycle", _canonical_rotation(tuple(seq[seen[v]:])))
-                break
-            if abs(v) > escape_bound:
-                result = ("escaped",)
-                break
-            seen[v] = len(seq)
-            seq.append(v)
-        outcome[x] = result if result is not None else ("escaped",)
+        if witness is None:
+            for x in orbit(H, start, max_steps, escape_bound).elements:
+                union(x, start)
+                recorded, w = memo.get(x, (None, None))
+                if recorded == ():
+                    union(x, w)
+        elif abs(start) > escape_bound:
+            union(start, witness)
 
-    blocks: dict[int, list[int]] = {}
-    for x in window:
-        blocks.setdefault(find(x), []).append(x)
-    classes = []
-    for members in blocks.values():
-        fates = {outcome[m] for m in members}
-        if len(fates) != 1:
-            raise AssertionError(f"inconsistent fates in one block: {fates}")
-        fate = fates.pop()
-        label = fate[1] if fate[0] == "cycle" else STATUS_ESCAPED
-        classes.append(OrbitClass(label, tuple(sorted(members))))
+    blocks: dict = {}
+    for start, (cycle, witness) in fates.items():
+        key = cycle or find(start if witness is None else witness)
+        blocks.setdefault(key, []).append(start)
+    classes = [OrbitClass(key if isinstance(key, tuple) else STATUS_ESCAPED,
+                          tuple(members))
+               for key, members in blocks.items()]
     classes.sort(key=lambda c: c.members[0])
     return classes

@@ -10,7 +10,7 @@ between strings and the natural numbers they enumerate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -132,6 +132,11 @@ class HydraMap:
                 raise MapSpecError(
                     f"branch {j} maps z = {witness} to the non-integer "
                     f"{branch(witness)}")
+        steps = []
+        for b in self.branches:
+            d = math.lcm(b.scale.denominator, b.shift.denominator)
+            steps.append((int(b.scale * d), int(b.shift * d), d))
+        object.__setattr__(self, "_steps", tuple(steps))
         if self.initial_value is not None:
             r0, c0 = self.branches[0].scale, self.branches[0].shift
             if (1 - r0) * self.initial_value != c0:
@@ -152,9 +157,14 @@ class HydraMap:
         return z % self.modulus
 
     def apply(self, z: int) -> int:
-        """One step of the map on an integer."""
-        image = self.branches[self.branch_index(z)](z)
-        return int(image)  # exact by the closure invariant
+        """One step of the map on an integer, in integer arithmetic only.
+
+        z in class j goes to (A_j*z + B_j) // D_j.  The division is exact
+        because branch j maps its own class into the integers, which
+        construction checks; no Fraction is built.
+        """
+        a, b, d = self._steps[z % self.modulus]
+        return (a * z + b) // d
 
     def apply_branch(self, j: int, z: RationalLike) -> Fraction:
         """Branch j applied to an arbitrary rational (no coset check)."""

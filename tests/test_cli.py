@@ -153,6 +153,19 @@ class TestOrbit:
         assert results["steps"] == "5"
         assert report["inputs"]["max_steps"] == "5"
 
+    @pytest.mark.parametrize("argv", [
+        ["orbit", "--start", "7", "--max-steps", "-3"],
+        ["orbit", "--start", "7", "--escape", "-1"],
+        ["cycles", "--range=-5:5", "--max-steps", "0"],
+        ["correspond", "--range=-5:5", "--escape", "-1"],
+    ])
+    def test_rejects_nonsensical_controls(self, capsys, t3_path, argv):
+        code, out, err = run(capsys, argv + ["--map", t3_path])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
 
 class TestCycles:
     def test_full_census(self, capsys, t3_path):

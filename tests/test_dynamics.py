@@ -299,3 +299,65 @@ class TestPartition:
     def test_empty_range(self, t3):
         with pytest.raises(ValueError):
             orbit_class_partition(t3, 3, 2)
+
+    # small budgets: each label is the member's own orbit fate
+
+    def test_label_reached_in_exactly_the_budget(self, t3):
+        # 4 -> 2 -> 1 -> 2 closes (1, 2) at step 3
+        labels = _labels(orbit_class_partition(t3, 1, 60, max_steps=3))
+        assert orbit(t3, 4, max_steps=3).cycle == (1, 2)
+        assert labels[4] == (1, 2)
+
+    def test_label_one_step_short_of_the_budget(self, t3):
+        labels = _labels(orbit_class_partition(t3, 1, 60, max_steps=2))
+        assert orbit(t3, 4, max_steps=2).status == STATUS_ESCAPED
+        assert labels[4] == STATUS_ESCAPED
+        assert labels[1] == labels[2] == (1, 2)
+
+    def test_fixed_point_found_in_one_step(self, t3):
+        assert find_cycles(t3, -200, -1, max_steps=1) == {(-1,)}
+        labels = _labels(orbit_class_partition(t3, -200, -1, max_steps=1))
+        assert labels[-1] == (-1,)
+
+    # starts past the escape bound: orbit never checks its start
+
+    def test_start_past_the_bound_closes_its_cycle(self, t3):
+        # 2 > 1 escapes from 1, but the orbit of 2 returns to 2
+        assert orbit(t3, 1, escape_bound=1).status == STATUS_ESCAPED
+        assert orbit(t3, 2, escape_bound=1).cycle == (1, 2)
+        assert find_cycles(t3, 1, 2, escape_bound=1) == {(1, 2)}
+        assert orbit_class_partition(t3, 1, 2, escape_bound=1) == [
+            OrbitClass(STATUS_ESCAPED, (1,)), OrbitClass((1, 2), (2,))]
+
+    def test_cycle_members_escape_through_a_start_past_the_bound(self, t3):
+        # -10 is past the bound 8; -5 and -7 reach it as an iterate
+        assert find_cycles(t3, -10, -1, escape_bound=8) == {
+            (-10, -5, -7), (-1,)}
+        labels = _labels(orbit_class_partition(t3, -10, -1, escape_bound=8))
+        for start in range(-10, 0):
+            report = orbit(t3, start, escape_bound=8)
+            assert labels[start] == (report.cycle or STATUS_ESCAPED)
+        assert labels[-10] == (-10, -5, -7)
+        assert labels[-7] == labels[-5] == STATUS_ESCAPED
+
+
+def _labels(classes):
+    return {m: block.label for block in classes for m in block.members}
+
+
+# ---------------------------------------------------------------------------
+# orbit controls
+
+@pytest.mark.parametrize("call", [
+    lambda H, **kw: orbit(H, 7, **kw),
+    lambda H, **kw: find_cycles(H, -5, 5, **kw),
+    lambda H, **kw: orbit_class_partition(H, -5, 5, **kw),
+    lambda H, **kw: correspondence_roundtrip(H, None, -5, 5, **kw),
+], ids=["orbit", "find_cycles", "orbit_class_partition",
+        "correspondence_roundtrip"])
+@pytest.mark.parametrize("controls", [
+    {"max_steps": 0}, {"max_steps": -3}, {"escape_bound": -1},
+])
+def test_rejects_nonsensical_controls(t3, call, controls):
+    with pytest.raises(ValueError, match="max_steps|escape_bound"):
+        call(t3, **controls)

@@ -1,0 +1,115 @@
+"""Property tests over random integer-closed hydra maps.
+
+Branch j of a drawn map is z -> (a_j/p)*z + c_j with p in {2, 3, 5},
+a_j a nonzero integer of either sign, and c_j chosen so that
+H_j(j) = r_j*j + c_j is an integer, which makes the map integer-closed.
+Budgets and bounds are drawn small, so orbits stop at the step budget,
+at the escape bound, and at starts that lie past the bound.  The runs
+are derandomized, so every run checks the same examples.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from hydramaps import (
+    STATUS_ESCAPED,
+    build_hydra,
+    find_cycles,
+    orbit,
+    orbit_class_partition,
+)
+
+PROPERTY = settings(derandomize=True, max_examples=150, deadline=None,
+                    database=None)
+
+
+@st.composite
+def hydra_maps(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    specs = []
+    for j in range(p):
+        a = draw(st.integers(-12, 12).filter(bool))
+        k = draw(st.integers(-3, 3))
+        specs.append((Fraction(a, p), Fraction(-a * j, p) + k))
+    return build_hydra(p, specs)
+
+
+@st.composite
+def censuses(draw):
+    """(map, lo, hi, max_steps, escape_bound)."""
+    H = draw(hydra_maps())
+    lo = draw(st.integers(-1500, 1500))
+    hi = lo + draw(st.integers(0, 60))
+    max_steps = draw(st.integers(1, 60))
+    escape_bound = draw(st.integers(0, 60) | st.integers(10 ** 3, 10 ** 6))
+    return H, lo, hi, max_steps, escape_bound
+
+
+@PROPERTY
+@given(hydra_maps(), st.lists(st.integers(-10 ** 40, 10 ** 40), min_size=1,
+                              max_size=20))
+def test_apply_is_the_exact_branch_value(H, zs):
+    for z in zs:
+        image = H.apply(z)
+        assert type(image) is int
+        assert image == H.branches[z % H.modulus](z)
+
+
+@PROPERTY
+@given(censuses())
+def test_find_cycles_is_the_union_of_orbit_cycles(census):
+    H, lo, hi, max_steps, escape_bound = census
+    expected = {orbit(H, s, max_steps, escape_bound).cycle
+                for s in range(lo, hi + 1)} - {()}
+    assert find_cycles(H, lo, hi, max_steps, escape_bound) == expected
+
+
+@PROPERTY
+@given(censuses())
+def test_partition_labels_are_orbit_fates(census):
+    H, lo, hi, max_steps, escape_bound = census
+    classes = orbit_class_partition(H, lo, hi, max_steps, escape_bound)
+    members = [m for block in classes for m in block.members]
+    assert sorted(members) == list(range(lo, hi + 1))
+    for block in classes:
+        for m in block.members:
+            report = orbit(H, m, max_steps, escape_bound)
+            assert block.label == (report.cycle or STATUS_ESCAPED)
+    assert _blocks(classes) == _shared_iterate_blocks(
+        H, lo, hi, max_steps, escape_bound)
+
+
+def _blocks(classes):
+    return sorted(((block.label, block.members) for block in classes),
+                  key=lambda block: block[1])
+
+
+def _shared_iterate_blocks(H, lo, hi, max_steps, escape_bound):
+    """One block per cycle, and the escaped starts joined when their
+    orbits, up to and including the first value past the bound, are
+    chained by shared elements; built from orbit alone."""
+    reports = [orbit(H, s, max_steps, escape_bound) for s in range(lo, hi + 1)]
+    parent = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for r in reports:
+        if r.cycle:
+            continue
+        elements = list(r.elements)
+        if len(r.tail) == r.steps:      # stopped at the bound, not the budget
+            elements.append(H.apply(r.tail[-1]))
+        for x in elements:
+            parent[find(x)] = find(r.start)
+    groups = {}
+    for r in reports:
+        key = r.cycle or ("escaped", find(r.start))
+        groups.setdefault(key, []).append(r.start)
+    return sorted(((key if key[0] != "escaped" else STATUS_ESCAPED,
+                    tuple(members)) for key, members in groups.items()),
+                  key=lambda block: block[1])
