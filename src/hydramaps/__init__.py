@@ -26,11 +26,9 @@ from .exact import (
     Frequency,
     PAdicTrunc,
     Place,
-    PrimePower,
     RationalDigitExpansion,
     abs_at_place,
     abs_finite,
-    as_fraction,
     character_angle,
     character_eval,
     crt_split,
@@ -61,7 +59,6 @@ from .hydra import (
     concat,
     digit_value,
     digits_of,
-    parse_branch_specs,
     shortened_collatz,
 )
 from .numen import (

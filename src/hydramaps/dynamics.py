@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import NotPIntegralError, PreconditionError
-from .exact import Place, abs_at_place, as_fraction
+from .exact import Place, abs_at_place
 from .hydra import DigitString, HydraMap, classify, compose_branches, digit_value
 from .numen import find_contracting_place, numen_of_rational, periodic_word_value
 
@@ -382,7 +382,7 @@ def _certify(
 
     scale = compose_branches(H, string).scale
     chosen = place
-    if chosen is None or not as_fraction(abs_at_place(scale, chosen)) < 1:
+    if chosen is None or not abs_at_place(scale, chosen) < 1:
         chosen = find_contracting_place(scale)
     if chosen is None:
         return CorrespondenceCertificate(

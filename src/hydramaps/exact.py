@@ -4,9 +4,9 @@ Valuations and absolute values at finite and archimedean places,
 residues of p-integral rationals, eventually periodic digit expansions,
 p-adic fractional parts, additive characters, and unit/prime-power
 factorizations.  All computations are exact: rationals are
-`fractions.Fraction`, finite absolute values are kept as explicit prime
-powers, and the valuation of zero is a tagged sentinel rather than a
-float infinity.
+`fractions.Fraction`, absolute values are Fractions at every place,
+and the valuation of zero is a tagged sentinel rather than a float
+infinity.
 """
 
 from __future__ import annotations
@@ -137,22 +137,13 @@ def valuation(r: RationalLike, p: int) -> Valuation:
 
 @dataclass(frozen=True)
 class Place:
-    """A place of the rationals: a prime q, or None for the archimedean one.
-
-    Ramification index and local degree are both 1 over the rationals;
-    they are carried explicitly so downstream formulas that scale by
-    them stay visibly degree-aware.
-    """
+    """A place of the rationals: a prime q, or None for the archimedean one."""
 
     prime: int | None
-    ramification_index: int = 1
-    local_degree: int = 1
 
     def __post_init__(self):
         if self.prime is not None and not is_prime(self.prime):
             raise ValueError(f"finite place needs a prime, got {self.prime}")
-        if self.ramification_index != 1 or self.local_degree != 1:
-            raise ValueError("places of the rationals have e = d = 1")
 
     @classmethod
     def finite(cls, q: int) -> "Place":
@@ -181,76 +172,19 @@ class Place:
         return "inf" if self.prime is None else str(self.prime)
 
 
-@dataclass(frozen=True)
-class PrimePower:
-    """Exact finite-place absolute value: prime**exponent, or zero.
-
-    exponent None encodes |0| = 0.  Comparisons against numbers go
-    through the exact Fraction value, never floats.
-    """
-
-    prime: int
-    exponent: int | None
-
-    @property
-    def exact(self) -> Fraction:
-        if self.exponent is None:
-            return Fraction(0)
-        return Fraction(self.prime) ** self.exponent
-
-    def __float__(self) -> float:
-        return float(self.exact)
-
-    def __mul__(self, other: "PrimePower") -> "PrimePower":
-        if not isinstance(other, PrimePower) or other.prime != self.prime:
-            return NotImplemented
-        if self.exponent is None or other.exponent is None:
-            return PrimePower(self.prime, None)
-        return PrimePower(self.prime, self.exponent + other.exponent)
-
-    def _cmp_value(self, other) -> Fraction:
-        if isinstance(other, PrimePower):
-            return other.exact
-        return Fraction(other)
-
-    def __lt__(self, other):
-        return self.exact < self._cmp_value(other)
-
-    def __le__(self, other):
-        return self.exact <= self._cmp_value(other)
-
-    def __gt__(self, other):
-        return self.exact > self._cmp_value(other)
-
-    def __ge__(self, other):
-        return self.exact >= self._cmp_value(other)
-
-    def __repr__(self):
-        if self.exponent is None:
-            return f"PrimePower({self.prime}, zero)"
-        return f"PrimePower({self.prime}**{self.exponent})"
-
-
-def abs_finite(r: RationalLike, q: int) -> PrimePower:
-    """|r|_q = q**(-v_q(r)) as an exact prime power."""
+def abs_finite(r: RationalLike, q: int) -> Fraction:
+    """|r|_q = q**(-v_q(r)) as an exact Fraction; |0|_q = 0."""
     v = valuation(r, q)
     if v is INFINITY:
-        return PrimePower(q, None)
-    return PrimePower(q, -v)
+        return Fraction(0)
+    return Fraction(q) ** -v
 
 
-def abs_at_place(r: RationalLike, place: Place) -> PrimePower | Fraction:
-    """Absolute value of r at a place; exact in both cases."""
+def abs_at_place(r: RationalLike, place: Place) -> Fraction:
+    """Absolute value of r at a place, as an exact Fraction."""
     if place.is_finite:
         return abs_finite(r, place.prime)
     return abs(Fraction(r))
-
-
-def as_fraction(value: PrimePower | Fraction | int) -> Fraction:
-    """Exact Fraction of an absolute value, whatever its representation."""
-    if isinstance(value, PrimePower):
-        return value.exact
-    return Fraction(value)
 
 
 # ---------------------------------------------------------------------------
@@ -459,10 +393,6 @@ class Frequency:
             raise ValueError(
                 f"denominator {den} is not a power of {self.base}")
 
-    @classmethod
-    def from_fraction(cls, x: RationalLike, q: int) -> "Frequency":
-        return cls(q, Fraction(x) % 1)
-
     @property
     def level(self) -> int:
         return _int_valuation(self.value.denominator, self.base)
@@ -482,7 +412,7 @@ class Frequency:
 def frequencies_through_level(q: int, n: int) -> list[Frequency]:
     """All q**n frequencies of level <= n: j / q**n for 0 <= j < q**n."""
     N = q ** n
-    return [Frequency.from_fraction(Fraction(j, N), q) for j in range(N)]
+    return [Frequency(q, Fraction(j, N)) for j in range(N)]
 
 
 def unit_root(angle: RationalLike) -> complex:

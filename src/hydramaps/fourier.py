@@ -4,17 +4,23 @@ The Haar probability measure on the base-p integers gives each ball of
 radius p**-n mass p**-n.  Schwartz-Bruhat (SB) functions are finite
 complex combinations of ball indicators, stored densely at a common
 refinement level; their Fourier transforms live on frequencies k/q**n
-mod 1.  The characteristic function of a hydra map's numen satisfies a
-self-similarity equation that can either be solved level by level
-(charfn_solve) or estimated by exhaustive Riemann sums over truncations
-(charfn_estimate); residue distributions come from Fourier inversion of
-the solved table (prob_inversion) or from the same exhaustive
-enumeration (prob_empirical).  The two routes are kept independent so
-each can check the other.
+mod 1.  Inside this module a function on the frequencies of level <= n
+is one complex numpy vector indexed by the numerator k mod q**n, and
+every character sum over such a vector is an FFT; the public tables
+keep Frequency keys and are converted once per call.
+
+The characteristic function of a hydra map's numen satisfies a
+self-similarity equation that can either be solved by fixed-point
+sweeps over that vector (charfn_solve) or estimated by exhaustive
+Riemann sums over truncations (charfn_estimate); residue distributions
+come from Fourier inversion of the solved table (prob_inversion) or from
+the same exhaustive enumeration (prob_empirical).  The two routes are
+kept independent so each can check the other.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,15 +50,22 @@ from .hydra import HydraMap
 from .numen import base_value, convergence_report
 
 ENUMERATION_CAP = 2 ** 24
+# the level sweeps stop once the self-similarity defect is this small
+_SWEEP_STOP = 1e-15
 
 
-def _guard_enumeration(p: int, depth: int, allow_large: bool) -> None:
-    if depth < 0:
-        raise ValueError(f"need depth >= 0, got {depth}")
-    if not allow_large and p ** depth > ENUMERATION_CAP:
+def _guard_size(base: int, exponent: int, what: str,
+                allow_large: bool | None = None) -> None:
+    """Refuse a negative exponent, and more than ENUMERATION_CAP
+    truncations or frequencies unless allow_large is set (None when the
+    caller offers no override)."""
+    if exponent < 0:
+        raise ValueError(
+            f"need {base}**n {what} with n >= 0, got n = {exponent}")
+    if not allow_large and base ** exponent > ENUMERATION_CAP:
+        hint = "" if allow_large is None else "; pass allow_large to override"
         raise ResourceLimitError(
-            f"{p}**{depth} truncations exceed the {ENUMERATION_CAP} cap; "
-            "pass allow_large to override")
+            f"{base}**{exponent} {what} exceed the {ENUMERATION_CAP} cap{hint}")
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +203,7 @@ def haar_integral_riemann(
     """Depth-N Riemann sum: the average of g over all base**N
     truncations.  Exact for functions that only depend on the residue
     mod base**N (in particular any SB function of level <= N)."""
-    _guard_enumeration(base, depth, allow_large)
+    _guard_size(base, depth, "truncations", allow_large)
     total = 0j
     size = base ** depth
     for i in range(size):
@@ -201,6 +214,32 @@ def haar_integral_riemann(
 # ---------------------------------------------------------------------------
 # Fourier transforms on SB functions
 
+def _frequency_table(x: np.ndarray, q: int) -> dict[Frequency, complex]:
+    """The Frequency-keyed form of a vector over k / q**level."""
+    N = len(x)
+    return {Frequency(q, Fraction(k, N)): v for k, v in enumerate(x.tolist())}
+
+
+def _frequency_vector(
+    values: Mapping[Frequency, complex], q: int, level: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """A Frequency-keyed table as a vector over k / q**level, and the
+    mask of the tabulated k."""
+    N = q ** level
+    x = np.zeros(N, dtype=complex)
+    present = np.zeros(N, dtype=bool)
+    for t, val in values.items():
+        if t.base != q:
+            raise ValueError(f"frequency base {t.base} != {q}")
+        if t.level > level:
+            raise ValueError(
+                f"frequency {t} has level above the target {level}")
+        k = t.value.numerator * (N // t.value.denominator)
+        x[k] = val
+        present[k] = True
+    return x, present
+
+
 def fourier_sb(f: SBFunction) -> dict[Frequency, complex]:
     """Transform f-hat(t) = integral of f(z) * e(-t z): supported on the
     frequencies of level <= the function's level, where it equals a
@@ -209,16 +248,7 @@ def fourier_sb(f: SBFunction) -> dict[Frequency, complex]:
         raise PreconditionError(
             f"Fourier transform needs a prime base, got {f.base}; "
             "split composite bases with crt_split first")
-    N = f.base ** f.level
-    table: dict[Frequency, complex] = {}
-    for j in range(N):
-        t = Frequency.from_fraction(Fraction(j, N), f.base)
-        total = 0j
-        for k, coeff in enumerate(f.coeffs):
-            if coeff:
-                total += coeff * unit_root(Fraction(-j * k, N))
-        table[t] = total / N
-    return table
+    return _frequency_table(np.fft.fft(f.coeffs) / f.base ** f.level, f.base)
 
 
 def inverse_fourier_sb(
@@ -232,21 +262,8 @@ def inverse_fourier_sb(
         raise PreconditionError(f"need a prime base, got {base}")
     if level is None:
         level = max((t.level for t in table), default=0)
-    for t in table:
-        if t.base != base:
-            raise ValueError(f"frequency base {t.base} != {base}")
-        if t.level > level:
-            raise ValueError(
-                f"frequency {t} has level above the target {level}")
-    N = base ** level
-    coeffs = []
-    for k in range(N):
-        total = 0j
-        for t, val in table.items():
-            if val:
-                total += val * unit_root(t.value * k)
-        coeffs.append(total)
-    return SBFunction(base, level, tuple(coeffs))
+    x, _ = _frequency_vector(table, base, level)
+    return SBFunction(base, level, tuple((np.fft.ifft(x) * x.size).tolist()))
 
 
 def orthogonality_sum(q: int, n: int, x: RationalLike, y: RationalLike) -> complex:
@@ -367,6 +384,22 @@ def _require_contracting(H: HydraMap, place: Place, force: bool) -> None:
             f"almost everywhere; got rho = {report.rho} (force to override)")
 
 
+def _estimate_vector(
+    H: HydraMap, q: int, level: int, depth: int, allow_large: bool,
+) -> np.ndarray:
+    """Riemann estimate of mu-hat at every k / q**level from the exact
+    histogram of [q**B * X] mod q**(level + B) over all modulus**depth
+    truncations: the value at k is sum_w count(w) e(-k w / q**(level+B))
+    divided by the number of truncations, the first q**level bins of one
+    FFT of the histogram."""
+    B = max(b_constant(H, q), 0)
+    _guard_size(q, level + B, "frequencies", allow_large)
+    hist = _scaled_residue_histogram(H, q, level + B, B, depth)
+    counts = np.zeros(q ** (level + B))
+    counts[list(hist)] = list(hist.values())
+    return np.fft.fft(counts)[:q ** level] / H.modulus ** depth
+
+
 def charfn_estimate(
     H: HydraMap,
     place: Place,
@@ -383,20 +416,14 @@ def charfn_estimate(
     Requires rho < 1 at the place unless force is set.
     """
     _require_contracting(H, place, force)
-    _guard_enumeration(H.modulus, depth, allow_large)
-    size = H.modulus ** depth
+    _guard_size(H.modulus, depth, "truncations", allow_large)
 
     if place.is_finite:
         q = place.prime
         if not isinstance(t, Frequency) or t.base != q:
             raise ValueError(f"need a base-{q} Frequency at the finite place")
-        B = max(b_constant(H, q), 0)
-        hist = _scaled_residue_histogram(H, q, t.level + B, B, depth)
-        scale = Fraction(q) ** B
-        total = 0j
-        for k, count in hist.items():
-            total += count * unit_root((-t.value * k / scale) % 1)
-        return total / size
+        values = _estimate_vector(H, q, t.level, depth, allow_large)
+        return complex(values[t.value.numerator])
 
     if isinstance(t, Frequency):
         raise ValueError("archimedean estimates take a real t, not a Frequency")
@@ -404,7 +431,7 @@ def charfn_estimate(
     total = 0j
     for x in _series_values(H, depth):
         total += unit_root((-tf * x) % 1)
-    return total / size
+    return total / H.modulus ** depth
 
 
 def charfn_table_estimate(
@@ -424,18 +451,10 @@ def charfn_table_estimate(
         if level is None:
             raise ValueError("finite-place tables need a level")
         q = place.prime
-        _guard_enumeration(H.modulus, depth, allow_large)
-        size = H.modulus ** depth
-        B = max(b_constant(H, q), 0)
-        hist = _scaled_residue_histogram(H, q, level + B, B, depth)
-        scale = Fraction(q) ** B
-        values = {}
-        for t in frequencies_through_level(q, level):
-            total = 0j
-            for k, count in hist.items():
-                total += count * unit_root((-t.value * k / scale) % 1)
-            values[t] = total / size
-        return CharFnTable(place, level, values, method="estimate")
+        _guard_size(H.modulus, depth, "truncations", allow_large)
+        values = _estimate_vector(H, q, level, depth, allow_large)
+        return CharFnTable(place, level, _frequency_table(values, q),
+                           method="estimate")
     if grid is None:
         raise ValueError("archimedean tables need an explicit grid")
     values = {Fraction(t): charfn_estimate(H, place, Fraction(t), depth,
@@ -445,76 +464,57 @@ def charfn_table_estimate(
     return CharFnTable(place, None, values, method="estimate")
 
 
-def _solve_levels(
-    p: int,
-    branch_data: Sequence[tuple[Fraction, Fraction]],
-    q: int,
-    level: int,
-) -> dict[Frequency, complex]:
-    """Solve mu-hat(t) = (1/p) sum_j e_q(-c_j t) mu-hat({r_j t}) level by
-    level.
+def _branch_maps(
+    H: HydraMap, q: int, level: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """For t = k / q**level and each branch j: the numerator of {r_j t}_q
+    at the same level (-1 when it lies higher) and the weight e_q(-c_j t),
+    as (p, q**level) arrays.  {x t}_q = m / q**(level + s) exactly, with
+    q**s the q-part of den(x) (at most p, which den(x) divides) and
+    m = k * [x q**s] mod q**(level + s); floats enter only at the exp."""
+    k = np.arange(q ** level, dtype=np.int64)
 
-    Unit-norm scales permute the frequencies of a fixed level, so each
-    level couples only to itself and to already-solved lower levels; the
-    resulting dense systems are strictly diagonally dominant whenever
-    some branch scale has norm < 1.
-    """
-    values: dict[Frequency, complex] = {
-        Frequency(q, Fraction(0)): 1 + 0j}
-    for m in range(1, level + 1):
-        unknowns = [Frequency(q, Fraction(k, q ** m))
-                    for k in range(1, q ** m) if k % q]
-        index = {t: i for i, t in enumerate(unknowns)}
-        size = len(unknowns)
-        A = np.eye(size, dtype=complex)
-        rhs = np.zeros(size, dtype=complex)
-        for i, t in enumerate(unknowns):
-            for r, c in branch_data:
-                s = Frequency(q, fractional_part(r * t.value, q))
-                w = unit_root(fractional_part(-c * t.value, q)) / p
-                if s.level == m:
-                    A[i, index[s]] -= w
-                else:
-                    rhs[i] += w * values[s]
-        solution = np.linalg.solve(A, rhs)
-        for t, val in zip(unknowns, solution):
-            values[t] = complex(val)
-    return values
+    def numerators(x: Fraction) -> tuple[np.ndarray, int]:
+        s = max(0, -valuation(x, q)) if x else 0
+        return k * residue_mod(x * q ** s, q, level + s) % q ** (level + s), s
+
+    images, weights = [], []
+    for b in H.branches:
+        m, s = numerators(b.scale)
+        images.append(np.where(m % q ** s == 0, m // q ** s, -1))
+        m, s = numerators(-b.shift)
+        weights.append(np.exp(2j * np.pi * m / q ** (level + s)))
+    return np.array(images), np.array(weights)
 
 
 def _selfsim_defect(
+    x: np.ndarray,
+    images: np.ndarray,
+    weights: np.ndarray,
     p: int,
-    branch_data: Sequence[tuple[Fraction, Fraction]],
-    q: int,
-    values: Mapping[Frequency, complex],
-) -> float:
-    worst = 0.0
-    for t, val in values.items():
-        rhs = 0j
-        ok = True
-        for r, c in branch_data:
-            s = Frequency(q, fractional_part(r * t.value, q))
-            if s not in values:
-                ok = False
-                break
-            rhs += unit_root(fractional_part(-c * t.value, q)) * values[s]
-        if ok:
-            worst = max(worst, abs(val - rhs / p))
-    return worst
+    present: np.ndarray,
+) -> tuple[float | None, np.ndarray]:
+    """(worst |x - T x|, T x) for the self-similarity map
+    (T x)[k] = (1/p) sum_j weights[j, k] * x[images[j, k]], over the
+    present entries whose images are all present (None if there are none)."""
+    swept = np.sum(weights * x[images], axis=0) / p
+    ok = present & np.all((images >= 0) & present[images], axis=0)
+    gap = np.abs(x - swept)[ok]
+    return (float(gap.max()) if gap.size else None), swept
 
 
-def charfn_solve(H: HydraMap, q: int, level: int) -> CharFnTable:
-    """Solve the self-similarity equation for all |t| <= q**level.
-
-    Requires q prime, the map proper, and at the place q both
-    max_j |r_j| <= 1 (so scales never raise a frequency's level) and
-    rho < 1 (so each level's system is nonsingular).  Residuals of all
-    fixed-point equations are verified below 1e-12 before returning.
+def _solve(H: HydraMap, q: int, level: int) -> tuple[np.ndarray, float]:
+    """mu-hat at every t = k / q**level, and its defect, by the sweeps
+    x <- T x from x = [t = 0]; index 0 is its own image with weight 1 on
+    every branch, so they hold x[0] = 1.  The preconditions of
+    charfn_solve and prob_inversion: q prime, the map proper, and at the
+    place q both max_j |r_j| <= 1 (so scales never raise a frequency's
+    level) and rho < 1; q**level at most ENUMERATION_CAP.
     """
-    if not is_prime(q):
-        raise PreconditionError(f"need a prime place, got {q}")
     if level < 0:
         raise ValueError(f"need level >= 0, got {level}")
+    if not is_prime(q):
+        raise PreconditionError(f"need a prime place, got {q}")
     if H.branches[0].scale == 1:
         raise PreconditionError(
             "requires a proper map (r_0 != 1): the normalization "
@@ -526,15 +526,45 @@ def charfn_solve(H: HydraMap, q: int, level: int) -> CharFnTable:
     if not report.rho < 1:
         raise PreconditionError(
             f"requires rho < 1 at the place {q}, got rho = {report.rho}")
+    _guard_size(q, level, "frequencies")
 
-    branch_data = [(b.scale, b.shift) for b in H.branches]
-    values = _solve_levels(H.modulus, branch_data, q, level)
-    residual = _selfsim_defect(H.modulus, branch_data, q, values)
+    images, weights = _branch_maps(H, q, level)
+    present = np.ones(q ** level, dtype=bool)
+    x = np.zeros(q ** level, dtype=complex)
+    x[0] = 1
+    # The u unit branches (|r_j|_q = 1) keep a frequency's level and the
+    # others lower it, so a sweep leaves the error at a level at most
+    # a = u/p times its own plus 1 - a times the lower levels', and level
+    # 0 is exact: after level * T sweeps the error is at most level * a**T
+    # (some block of T sweeps never stepped down), the defect twice that.
+    units = sum(valuation(b.scale, q) == 0 for b in H.branches)
+    ceiling = level
+    if units and level:
+        ceiling *= math.ceil(math.log(_SWEEP_STOP / (2 * level))
+                             / math.log(units / H.modulus))
+    residual, swept = _selfsim_defect(x, images, weights, H.modulus, present)
+    for _ in range(ceiling):
+        if residual <= _SWEEP_STOP:
+            break
+        x = swept
+        residual, swept = _selfsim_defect(x, images, weights, H.modulus,
+                                          present)
     if residual > 1e-12:
         raise RuntimeError(
-            f"solver residual {residual} exceeds 1e-12; the level systems "
-            "are ill-conditioned for this map")
-    return CharFnTable(Place.finite(q), level, values,
+            f"solver residual {residual} exceeds 1e-12 after {ceiling} sweeps")
+    return x, residual
+
+
+def charfn_solve(H: HydraMap, q: int, level: int) -> CharFnTable:
+    """Solve the self-similarity equation for all |t| <= q**level.
+
+    Requires q prime, the map proper, and at the place q both
+    max_j |r_j| <= 1 and rho < 1; refuses q**level above
+    ENUMERATION_CAP.  Residuals of all fixed-point equations are
+    verified below 1e-12 before returning.
+    """
+    values, residual = _solve(H, q, level)
+    return CharFnTable(Place.finite(q), level, _frequency_table(values, q),
                        method="solve", residual=residual)
 
 
@@ -545,30 +575,22 @@ def selfsim_residual(H: HydraMap, place: Place, table: CharFnTable) -> float:
     place) are missing from the table are skipped; at least one entry
     must be evaluable.
     """
-    p = H.modulus
-    branch_data = [(b.scale, b.shift) for b in H.branches]
     if place.is_finite:
         q = place.prime
-        evaluable = any(
-            all(Frequency(q, fractional_part(r * t.value, q)) in table.values
-                for r, _ in branch_data)
-            for t in table.values)
-        if not evaluable:
-            raise ValueError("no table entry has all its images tabulated")
-        return _selfsim_defect(p, branch_data, q, table.values)
-    worst = None
-    for t, val in table.values.items():
-        rhs = 0j
-        ok = True
-        for r, c in branch_data:
-            s = r * t
-            if s not in table.values:
-                ok = False
-                break
-            rhs += unit_root((-c * t) % 1) * table.values[s]
-        if ok:
-            defect = abs(val - rhs / p)
-            worst = defect if worst is None else max(worst, defect)
+        level = max((t.level for t in table.values), default=0)
+        _guard_size(q, level, "frequencies")
+        x, present = _frequency_vector(table.values, q, level)
+        images, weights = _branch_maps(H, q, level)
+    else:
+        keys = list(table.values)
+        index = {t: i for i, t in enumerate(keys)}
+        x = np.array([table.values[t] for t in keys], dtype=complex)
+        present = np.ones(len(keys), dtype=bool)
+        images = np.array([[index.get(b.scale * t, -1) for t in keys]
+                           for b in H.branches], dtype=np.int64)
+        weights = np.array([[unit_root((-b.shift * t) % 1) for t in keys]
+                            for b in H.branches], dtype=complex)
+    worst, _ = _selfsim_defect(x, images, weights, H.modulus, present)
     if worst is None:
         raise ValueError("no table entry has all its images tabulated")
     return worst
@@ -593,11 +615,10 @@ class Distribution:
     method: str = ""
 
     def __post_init__(self):
-        total = 0.0
         for w, prob in self.probabilities.items():
             if not -1e-12 <= prob <= 1 + 1e-12:
                 raise ValueError(f"probability {prob} at {w} out of range")
-            total += prob
+        total = math.fsum(self.probabilities.values())
         if abs(total - 1) > 1e-12:
             raise ValueError(f"probabilities sum to {total}, not 1")
 
@@ -608,47 +629,22 @@ class Distribution:
 def prob_inversion(H: HydraMap, q: int, n: int) -> Distribution:
     """Residue distribution by Fourier inversion of the solved table:
 
-        P(X = w mod q**n) = q**-(n+B) sum over |s| <= q**(n+B) of
-                            mu-hat_scaled(s) e_q(s k),   w = k / q**B,
+        P(X = k mod q**n) = q**-n sum over |t| <= q**n of mu-hat(t) e_q(t k),
 
-    where the solve runs on the rescaled offsets q**B c_j so that the
-    rescaled numen q**B X is q-integral (B = 0 leaves the map alone and
-    reduces to the plain inversion sum over |t| <= q**n).
+    one inverse FFT of the solved vector.  The solve's preconditions make
+    X q-integral, so b = 0: on an integer-closed map den(c_j) divides
+    den(r_j), which |r_j|_q <= 1 keeps prime to q.  Refuses q**n above
+    ENUMERATION_CAP.
     """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    if not is_prime(q):
-        raise PreconditionError(f"need a prime place, got {q}")
-    B = max(b_constant(H, q), 0)
-    report = convergence_report(H, Place.finite(q))
-    if not report.max_branch_norm <= 1:
-        raise PreconditionError(
-            f"requires max_j |r_j|_{q} <= 1, got {report.max_branch_norm}")
-    if not report.rho < 1:
-        raise PreconditionError(
-            f"requires rho < 1 at the place {q}, got rho = {report.rho}")
-    if H.branches[0].scale == 1:
-        raise PreconditionError("requires a proper map (r_0 != 1)")
-
-    scale = Fraction(q) ** B
-    scaled = [(b.scale, b.shift * scale) for b in H.branches]
-    values = _solve_levels(H.modulus, scaled, q, n + B)
-    residual = _selfsim_defect(H.modulus, scaled, q, values)
-    if residual > 1e-12:
-        raise RuntimeError(f"solver residual {residual} exceeds 1e-12")
-
-    size = q ** (n + B)
-    probs: dict[Fraction, float] = {}
-    for k in range(size):
-        total = 0j
-        for t, val in values.items():
-            total += val * unit_root(t.value * k)
-        prob = total / size
-        if abs(prob.imag) > 1e-12:
-            raise RuntimeError(
-                f"inversion produced imaginary mass {prob.imag} at k = {k}")
-        probs[Fraction(k) / scale] = prob.real
-    return Distribution(q, n, B, probs, method="inversion")
+    values, _ = _solve(H, q, n)
+    probs = np.fft.ifft(values)
+    k = int(np.argmax(np.abs(probs.imag)))
+    if abs(probs.imag[k]) > 1e-12:
+        raise RuntimeError(
+            f"inversion produced imaginary mass {probs.imag[k]} at k = {k}")
+    return Distribution(
+        q, n, 0, {Fraction(k): p for k, p in enumerate(probs.real.tolist())},
+        method="inversion")
 
 
 def prob_empirical(
@@ -664,7 +660,7 @@ def prob_empirical(
         raise ValueError(f"need n >= 0, got {n}")
     if not is_prime(q):
         raise PreconditionError(f"need a prime place, got {q}")
-    _guard_enumeration(H.modulus, depth, allow_large)
+    _guard_size(H.modulus, depth, "truncations", allow_large)
     B = max(b_constant(H, q), 0)
     scale = Fraction(q) ** B
     hist = _scaled_residue_histogram(H, q, n + B, B, depth)
@@ -679,5 +675,5 @@ def total_variation(a: Distribution, b: Distribution) -> float:
     if (a.base, a.exponent) != (b.base, b.exponent):
         raise ValueError("distributions live on different residue systems")
     keys = set(a.probabilities) | set(b.probabilities)
-    return 0.5 * sum(abs(a.probabilities.get(w, 0.0)
-                         - b.probabilities.get(w, 0.0)) for w in keys)
+    return 0.5 * math.fsum(abs(a.probabilities.get(w, 0.0)
+                               - b.probabilities.get(w, 0.0)) for w in keys)

@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import MapSpecError
-from .exact import RationalLike, parse_rational
+from .exact import RationalLike
 
 
 @dataclass(frozen=True)
@@ -281,27 +281,3 @@ def compose_branches(H: HydraMap, s: DigitString) -> AffineMap:
         scale = branch.scale * scale
         shift = branch.scale * shift + branch.shift
     return AffineMap(scale, shift)
-
-
-def parse_branch_specs(
-    raw: Sequence[dict],
-) -> list[tuple[Fraction, Fraction]]:
-    """Decode [{'r': 'a/b', 'c': 'a/b'}, ...] with per-field errors."""
-    specs = []
-    for idx, item in enumerate(raw):
-        if not isinstance(item, dict) or set(item) - {"r", "c"}:
-            raise MapSpecError(
-                f"branches[{idx}]: expected an object with keys 'r' and 'c'")
-        for key in ("r", "c"):
-            if key not in item:
-                raise MapSpecError(f"branches[{idx}].{key}: missing")
-        try:
-            r = parse_rational(str(item["r"]))
-        except MapSpecError as exc:
-            raise MapSpecError(f"branches[{idx}].r: {exc}") from None
-        try:
-            c = parse_rational(str(item["c"]))
-        except MapSpecError as exc:
-            raise MapSpecError(f"branches[{idx}].c: {exc}") from None
-        specs.append((r, c))
-    return specs

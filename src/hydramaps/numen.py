@@ -22,7 +22,6 @@ from .exact import (
     RationalDigitExpansion,
     RationalLike,
     abs_at_place,
-    as_fraction,
     digit_expansion,
     valuation,
 )
@@ -112,7 +111,7 @@ class ConvergenceReport:
 
 
 def convergence_report(H: HydraMap, place: Place) -> ConvergenceReport:
-    norms = [as_fraction(abs_at_place(b.scale, place)) for b in H.branches]
+    norms = [abs_at_place(b.scale, place) for b in H.branches]
     rho = math.prod(norms, start=Fraction(1))
     max_norm = max(norms)
     if rho < 1 and max_norm < 1:
@@ -123,8 +122,7 @@ def convergence_report(H: HydraMap, place: Place) -> ConvergenceReport:
         guarantee = GUARANTEE_NONE
     ell_bound = None
     if place.is_finite:
-        ell_bound = max(
-            as_fraction(abs_at_place(b.shift, place)) for b in H.branches)
+        ell_bound = max(abs_at_place(b.shift, place) for b in H.branches)
     return ConvergenceReport(place, rho, max_norm, guarantee, ell_bound)
 
 
@@ -164,7 +162,7 @@ def density_criterion(
     if z.base != H.modulus:
         raise ValueError(f"expansion base {z.base} != map modulus {H.modulus}")
     profile = digit_densities(z)
-    norms = [as_fraction(abs_at_place(b.scale, place)) for b in H.branches]
+    norms = [abs_at_place(b.scale, place) for b in H.branches]
     value = 0.0
     for d, norm in zip(profile.densities, norms):
         if d and norm != 1:
@@ -234,7 +232,7 @@ def numen_of_rational(
         if place is None:
             raise PreconditionError(
                 f"no place contracts the periodic block (scale {aff.scale})")
-    if not as_fraction(abs_at_place(aff.scale, place)) < 1:
+    if not abs_at_place(aff.scale, place) < 1:
         raise PreconditionError(
             f"requires |scale| < 1 at the place: block scale {aff.scale} "
             f"has norm >= 1 at {place}")
@@ -259,8 +257,8 @@ def _verify_against_truncations(
     d2 = x - numen_of_trunc(H, z.truncate(n2))
     if d1 == 0 and d2 == 0:
         return
-    n1_abs = as_fraction(abs_at_place(d1, place))
-    n2_abs = as_fraction(abs_at_place(d2, place))
+    n1_abs = abs_at_place(d1, place)
+    n2_abs = abs_at_place(d2, place)
     if not n2_abs < n1_abs:
         raise PreconditionError(
             f"truncation cross-check failed at {place}: |x - T{n2}| = "
@@ -304,6 +302,6 @@ def ell_bound_check(
     for _ in range(samples):
         digits = tuple(rng.randrange(p) for _ in range(depth))
         value = numen_of_trunc(H, PAdicTrunc(p, digits))
-        if not as_fraction(abs_at_place(value, place)) <= bound:
+        if not abs_at_place(value, place) <= bound:
             return False
     return True

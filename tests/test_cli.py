@@ -336,6 +336,20 @@ class TestDist:
                                   "--depth", "30"])
         assert code == 4
 
+    @pytest.mark.parametrize("argv", [
+        ["charfn", "--place", "3", "--level", "16"],
+        ["charfn", "--place", "3", "--level", "16", "--method", "estimate",
+         "--depth", "4"],
+        ["dist", "--place", "3", "--exponent", "16"],
+    ])
+    def test_frequency_cap_exit(self, capsys, t3_path, argv):
+        # 3**16 frequencies exceed the 2**24 cap
+        code, out, err = run(capsys, argv + ["--map", t3_path])
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
 
 # ---------------------------------------------------------------------------
 # correspond

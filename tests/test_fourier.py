@@ -305,6 +305,8 @@ class TestCharFnEstimate:
     def test_resource_guard(self, t3):
         with pytest.raises(ResourceLimitError):
             charfn_estimate(t3, P3, Frequency(3, F(1, 3)), depth=25)
+        with pytest.raises(ResourceLimitError):
+            charfn_table_estimate(t3, P3, depth=4, level=16)
 
     def test_table_estimate(self, t3):
         table = charfn_table_estimate(t3, P3, depth=16, level=1)
@@ -379,9 +381,35 @@ class TestCharFnSolve:
         with pytest.raises(ValueError):
             charfn_solve(t3, 3, -1)
 
+    def test_every_branch_contracting(self):
+        # no unit branch at 3: the sweeps settle after `level` steps, and
+        # residues mod 3**3 are exact from depth 3 on, so the exhaustive
+        # estimate equals the solution
+        H = build_hydra(2, [(F(3, 2), 0), (F(-3, 2), F(3, 2))])
+        solved = charfn_solve(H, 3, 3)
+        estimated = charfn_table_estimate(H, P3, depth=4, level=3)
+        for t, val in solved.values.items():
+            assert abs(estimated.values[t] - val) < 1e-12
+
+    def test_frequency_cap(self, t3):
+        # 3**16 frequencies exceed the 2**24 cap: refused before the
+        # frequency vectors are allocated
+        with pytest.raises(ResourceLimitError):
+            charfn_solve(t3, 3, 16)
+        with pytest.raises(ResourceLimitError):
+            prob_inversion(t3, 3, 16)
+        deep = CharFnTable(P3, None, {Frequency(3, F(0)): 1 + 0j,
+                                      Frequency(3, F(1, 3 ** 16)): 0.5 + 0j})
+        with pytest.raises(ResourceLimitError):
+            selfsim_residual(t3, P3, deep)
+
     def test_self_similarity_residuals(self, t3):
         solved = charfn_solve(t3, 3, 2)
         assert selfsim_residual(t3, P3, solved) < 1e-12
+        # entries whose images are missing are skipped, not read as 0
+        gap = Frequency(3, F(1, 9))
+        partial = {t: v for t, v in solved.values.items() if t != gap}
+        assert selfsim_residual(t3, P3, CharFnTable(P3, 2, partial)) < 1e-12
         estimated = charfn_table_estimate(t3, P3, depth=18, level=1)
         assert selfsim_residual(t3, P3, estimated) < 2e-2
 
@@ -416,6 +444,13 @@ class TestTables:
             Distribution(3, 1, 0, {F(0): 0.5, F(1): 0.6, F(2): -0.1})
         with pytest.raises(ValueError):
             Distribution(3, 1, 0, {F(0): 0.5, F(1): 0.4})
+
+    def test_distribution_total_is_summed_exactly(self):
+        # a running float sum of 3**12 equal masses drifts to
+        # 0.9999999999917075, outside the 1e-12 tolerance
+        size = 3 ** 12
+        uniform = Distribution(3, 12, 0, {F(k): 1 / size for k in range(size)})
+        assert len(uniform.probabilities) == size
 
     def test_b_constant(self, t3, t5):
         assert b_constant(t3, 3) == 0

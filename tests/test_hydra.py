@@ -17,7 +17,6 @@ from hydramaps import (
     concat,
     digit_value,
     digits_of,
-    parse_branch_specs,
     shortened_collatz,
 )
 
@@ -72,19 +71,6 @@ class TestBuild:
         with pytest.raises(MapSpecError):
             build_hydra(2, [(F(1, 2), 0), (F(3, 2), F(1, 2))],
                         initial_value=1)
-
-    def test_parse_branch_specs(self):
-        specs = parse_branch_specs([{"r": "1/2", "c": "0"},
-                                    {"r": "3/2", "c": "1/2"}])
-        assert specs == [(F(1, 2), F(0)), (F(3, 2), F(1, 2))]
-
-    def test_parse_branch_specs_errors(self):
-        with pytest.raises(MapSpecError, match=r"branches\[0\].r"):
-            parse_branch_specs([{"r": "1/x", "c": "0"}])
-        with pytest.raises(MapSpecError, match=r"branches\[1\].c: missing"):
-            parse_branch_specs([{"r": "1/2", "c": "0"}, {"r": "3/2"}])
-        with pytest.raises(MapSpecError, match=r"branches\[0\]"):
-            parse_branch_specs([{"r": "1/2", "c": "0", "extra": 1}])
 
 
 # ---------------------------------------------------------------------------

@@ -4,20 +4,30 @@ Branch j of a drawn map is z -> (a_j/p)*z + c_j with p in {2, 3, 5},
 a_j a nonzero integer of either sign, and c_j chosen so that
 H_j(j) = r_j*j + c_j is an integer, which makes the map integer-closed.
 Budgets and bounds are drawn small, so orbits stop at the step budget,
-at the escape bound, and at starts that lie past the bound.  The runs
-are derandomized, so every run checks the same examples.
+at the escape bound, and at starts that lie past the bound.  The Fourier
+properties draw maps with p in {2, 3}, a prime q not dividing p, one
+multiplier +-q and the others prime to q, so that the level solve's
+preconditions hold at q.  The runs are derandomized, so every run checks
+the same examples.
 """
 
+import cmath
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hydramaps import (
     STATUS_ESCAPED,
+    Place,
+    base_value,
     build_hydra,
+    charfn_solve,
+    charfn_table_estimate,
     find_cycles,
     orbit,
     orbit_class_partition,
+    prob_empirical,
+    prob_inversion,
 )
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None,
@@ -113,3 +123,74 @@ def _shared_iterate_blocks(H, lo, hi, max_steps, escape_bound):
     return sorted(((key if key[0] != "escaped" else STATUS_ESCAPED,
                     tuple(members)) for key, members in groups.items()),
                   key=lambda block: block[1])
+
+
+# ---------------------------------------------------------------------------
+# the Fourier layer over random maps
+
+SPECTRAL = settings(derandomize=True, max_examples=50, deadline=None,
+                    database=None)
+
+
+@st.composite
+def solvable_maps(draw):
+    """(map, q) with max_j |r_j|_q <= 1 and rho < 1 at q."""
+    p = draw(st.sampled_from([2, 3]))
+    q = draw(st.sampled_from([r for r in (2, 3, 5, 7) if r != p]))
+    carrier = draw(st.integers(0, p - 1))
+    specs = []
+    for j in range(p):
+        if j == carrier:
+            a = draw(st.sampled_from([-q, q]))
+        else:
+            # prime to q, and r_0 != 1 keeps the map proper
+            a = draw(st.integers(-12, 12).filter(lambda a: a % q and a != p))
+        k = draw(st.integers(-3, 3))
+        specs.append((Fraction(a, p), Fraction(-a * j, p) + k))
+    return build_hydra(p, specs), q
+
+
+@SPECTRAL
+@given(solvable_maps(), st.integers(1, 4))
+def test_solve_restricts_to_the_lower_level(map_and_place, level):
+    H, q = map_and_place
+    upper = charfn_solve(H, q, level).values
+    lower = charfn_solve(H, q, level - 1).values
+    assert len(upper) == q ** level and len(lower) == q ** (level - 1)
+    for t, value in lower.items():
+        assert abs(upper[t] - value) <= 1e-12
+
+
+@SPECTRAL
+@given(solvable_maps(), st.integers(1, 4))
+def test_inversion_sums_to_the_lower_exponent(map_and_place, n):
+    H, q = map_and_place
+    upper = prob_inversion(H, q, n).probabilities
+    lower = prob_inversion(H, q, n - 1).probabilities
+    folded = {}
+    for w, prob in upper.items():
+        key = Fraction(int(w) % q ** (n - 1))
+        folded[key] = folded.get(key, 0.0) + prob
+    assert folded.keys() == lower.keys()
+    for w, prob in lower.items():
+        assert abs(folded[w] - prob) <= 1e-12
+
+
+@SPECTRAL
+@given(solvable_maps(), st.integers(0, 3), st.integers(3, 6))
+def test_table_estimate_is_the_character_sum_of_the_histogram(
+        map_and_place, level, depth):
+    """mu-hat(k / q**L) = sum over w of P(X = w mod q**L) e(-k w / q**L),
+    summed term by term over prob_empirical's exact histogram."""
+    H, q = map_and_place
+    # the truncation values carry X(0), which must be q-integral
+    assume(base_value(H).denominator % q)
+    N = q ** level
+    table = charfn_table_estimate(H, Place.finite(q), depth, level=level)
+    hist = prob_empirical(H, q, level, depth).probabilities
+    assert len(table.values) == N
+    for t, value in table.values.items():
+        k = int(t.value * N)
+        expected = sum(prob * cmath.exp(-2j * cmath.pi * (k * int(w) % N) / N)
+                       for w, prob in hist.items())
+        assert abs(value - expected) <= 1e-12
