@@ -11,6 +11,7 @@ distributions by non-archimedean Fourier analysis.
 """
 
 from .errors import (
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_PRECONDITION,
     EXIT_RESOURCE,
@@ -18,6 +19,7 @@ from .errors import (
     HydraError,
     MapSpecError,
     NotPIntegralError,
+    NumericalCheckError,
     PreconditionError,
     ResourceLimitError,
 )

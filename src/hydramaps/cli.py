@@ -7,7 +7,8 @@ strings so exact rationals survive the round trip.  Distributions and
 characteristic-function tables can also be emitted as CSV.
 
 Exit codes: 0 success, 2 malformed input or map spec, 3 violated
-mathematical precondition, 4 resource guard tripped.
+mathematical precondition, 4 resource guard tripped, 5 a numerical
+check missed its tolerance.
 """
 
 from __future__ import annotations
@@ -21,12 +22,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_PRECONDITION,
     EXIT_RESOURCE,
     EXIT_SPEC_ERROR,
     MapSpecError,
     NotPIntegralError,
+    NumericalCheckError,
     PreconditionError,
     ResourceLimitError,
 )
@@ -518,6 +521,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except NumericalCheckError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR

@@ -22,7 +22,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import NotPIntegralError, PreconditionError
+from .errors import (
+    ENUMERATION_CAP,
+    NotPIntegralError,
+    PreconditionError,
+    ResourceLimitError,
+)
 from .exact import Place, abs_at_place
 from .hydra import DigitString, HydraMap, classify, compose_branches, digit_value
 from .numen import find_contracting_place, numen_of_rational, periodic_word_value
@@ -33,6 +38,8 @@ STATUS_ESCAPED = "escaped"
 
 DEFAULT_MAX_STEPS = 10_000
 DEFAULT_ESCAPE_BOUND = 10 ** 18
+# reverse_scan's suffix table holds at most this many words
+SCAN_BLOCK = 2 ** 10
 
 
 def _canonical_rotation(cycle: tuple[int, ...]) -> tuple[int, ...]:
@@ -253,7 +260,8 @@ class ScanReport:
     integer_values are the integer fixed points found, each the numen
     value at the word's repeating rational; words whose composite scale
     is 1 have no unique fixed point and are skipped (skipped counts
-    them).
+    them).  witness_words maps each value, in ascending order, to its
+    shortest word, the lexicographically largest among equal lengths.
     """
 
     max_length: int
@@ -267,43 +275,81 @@ class ScanReport:
 def reverse_scan(H: HydraMap, max_length: int) -> ScanReport:
     """Fixed points of every branch word of length <= max_length.
 
-    Depth-first over the word tree, extending the affine composite
-    incrementally: appending digit j on the inside sends (scale, shift)
-    to (scale*r_j, scale*c_j + shift).
+    In the map's integer branch form a word of length n composes to
+    x -> (A*x + B) / D**n, so it has the unique fixed point
+    B / (D**n - A) unless A = D**n (skipped), and an integer one exactly
+    when D**n - A divides B: the cycle criterion of Boehm and Sontacchi.
+    Level n is scanned as the words u*v of a prefix u of length n - k
+    and a suffix v from a table of all p**k words of length k, with
+    p**k <= SCAN_BLOCK; the word's form is A = A_u*A_v and
+    B = A_u*B_v + D**k*B_u.  The table is built once, and one block (one
+    prefix against the table) is held at a time.  Within a level the
+    words run in descending order of their entries, so each value's
+    witness is its lexicographically largest shortest word.  Refuses
+    more than ENUMERATION_CAP words in all.
     """
     if max_length < 1:
         raise ValueError(f"need max_length >= 1, got {max_length}")
     p = H.modulus
-    branches = H.branches
-    integers: dict[int, DigitString] = {}
-    scanned = 0
-    skipped = 0
+    words = sum(p ** n for n in range(1, max_length + 1))
+    if words > ENUMERATION_CAP:
+        raise ResourceLimitError(
+            f"a length-{max_length} scan has {words} words, above the "
+            f"{ENUMERATION_CAP} cap")
+    steps = H._steps
+    D = steps[0][2]
+    K = 1
+    while K < max_length and p ** (K + 1) <= SCAN_BLOCK:
+        K += 1
+    # tables[k] holds every word of length k <= K, in descending order,
+    # as (entries, A, B); appending digit j inside gives (A*a_j, A*b_j + D*B)
+    tables = [[((), 1, 0)]]
+    digits = list(enumerate(steps))[::-1]
+    for _ in range(K):
+        tables.append([(e + (j,), A * a, A * b + D * B)
+                       for e, A, B in tables[-1] for j, (a, b, _) in digits])
 
-    stack = [(Fraction(1), Fraction(0), ())]
-    while stack:
-        scale, shift, word = stack.pop()
-        if word:
-            scanned += 1
-            if scale == 1:
-                skipped += 1
-            else:
-                value = shift / (1 - scale)
-                if value.denominator == 1:
-                    v = int(value)
-                    if v not in integers or len(word) < len(integers[v].entries):
-                        integers[v] = DigitString(p, word)
-        if len(word) < max_length:
-            for j in range(p):
-                b = branches[j]
-                stack.append((scale * b.scale, scale * b.shift + shift,
-                              word + (j,)))
+    integers: dict[int, DigitString] = {}
+    skipped = 0
+    for n in range(1, max_length + 1):
+        k = min(n, K)
+        table = tables[k]
+        suffixes = [(A, B) for _, A, B in table]
+        Dn, Dk = D ** n, D ** k
+        for prefix, Au, Bu in _words_of_length(tables, D, n - k):
+            c = Dk * Bu
+            rems = [(Au * B + c) % N if (N := Dn - Au * A) else None
+                    for A, B in suffixes]
+            skipped += rems.count(None)
+            if 0 not in rems:
+                continue
+            for i, r in enumerate(rems):
+                if r == 0:
+                    suffix, A, B = table[i]
+                    v = (Au * B + c) // (Dn - Au * A)
+                    if v not in integers:
+                        integers[v] = DigitString(p, prefix + suffix)
     return ScanReport(
         max_length=max_length,
-        words_scanned=scanned,
+        words_scanned=words,
         skipped=skipped,
         integer_values=tuple(sorted(integers)),
-        witness_words=integers,
+        witness_words=dict(sorted(integers.items())),
     )
+
+
+def _words_of_length(tables: list, D: int, m: int):
+    """Every word of length m in descending order, as (entries, A, B),
+    joined from the length-K table words (K = len(tables) - 1)."""
+    K = len(tables) - 1
+    if m <= K:
+        yield from tables[m]
+        return
+    DK = D ** K
+    for prefix, Au, Bu in _words_of_length(tables, D, m - K):
+        c = DK * Bu
+        for suffix, A, B in tables[K]:
+            yield prefix + suffix, Au * A, Au * B + c
 
 
 @dataclass(frozen=True)

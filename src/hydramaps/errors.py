@@ -1,17 +1,23 @@
 """Exception hierarchy and process exit codes.
 
-Every failure the library can report falls into one of three buckets:
+Every failure the library can report falls into one of four buckets:
 malformed input (a map spec or value that does not satisfy a type
 invariant), a violated mathematical precondition (an operation was asked
-to run outside the regime where its defining identity holds), or a
-resource guard (a computation whose cost would exceed a configured cap).
-The CLI maps these onto distinct exit codes.
+to run outside the regime where its defining identity holds), a
+resource guard (a computation whose cost would exceed a configured cap),
+or a failed numerical check (a float result missed its stated
+tolerance).  The CLI maps these onto distinct exit codes.
 """
 
 EXIT_OK = 0
 EXIT_SPEC_ERROR = 2
 EXIT_PRECONDITION = 3
 EXIT_RESOURCE = 4
+EXIT_NUMERICAL = 5
+
+# the most states (truncations, frequencies, scanned words) an
+# exponential enumeration may visit
+ENUMERATION_CAP = 2 ** 24
 
 
 class HydraError(Exception):
@@ -38,3 +44,8 @@ class PreconditionError(HydraError, ValueError):
 
 class ResourceLimitError(HydraError, RuntimeError):
     """The requested computation exceeds a resource guard."""
+
+
+class NumericalCheckError(HydraError, RuntimeError):
+    """A floating-point result missed the tolerance it is checked
+    against (a solver residual, the imaginary mass of an inversion)."""

@@ -29,7 +29,9 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    ENUMERATION_CAP,
     NotPIntegralError,
+    NumericalCheckError,
     PreconditionError,
     ResourceLimitError,
 )
@@ -49,7 +51,6 @@ from .exact import (
 from .hydra import HydraMap
 from .numen import base_value, convergence_report
 
-ENUMERATION_CAP = 2 ** 24
 # the level sweeps stop once the self-similarity defect is this small
 _SWEEP_STOP = 1e-15
 
@@ -322,6 +323,15 @@ def b_constant(H: HydraMap, q: int) -> int:
     return max(exps) if exps else 0
 
 
+def _lattice_exponent(H: HydraMap, q: int) -> int:
+    """The least B >= b_constant(H, q), B >= 0, with X(0) in
+    q**-B * Z_q: every truncation value adds X(0) times its product of
+    scales to the offsets' series, so with q-integral scales all of
+    them lie in q**-B * Z_q."""
+    anchor = base_value(H)
+    return max(b_constant(H, q), -valuation(anchor, q) if anchor else 0, 0)
+
+
 def _series_values(H: HydraMap, depth: int) -> Iterable[Fraction]:
     """Exact numen values of all modulus**depth truncations."""
     anchor = base_value(H)
@@ -392,7 +402,7 @@ def _estimate_vector(
     truncations: the value at k is sum_w count(w) e(-k w / q**(level+B))
     divided by the number of truncations, the first q**level bins of one
     FFT of the histogram."""
-    B = max(b_constant(H, q), 0)
+    B = _lattice_exponent(H, q)
     _guard_size(q, level + B, "frequencies", allow_large)
     hist = _scaled_residue_histogram(H, q, level + B, B, depth)
     counts = np.zeros(q ** (level + B))
@@ -550,7 +560,7 @@ def _solve(H: HydraMap, q: int, level: int) -> tuple[np.ndarray, float]:
         residual, swept = _selfsim_defect(x, images, weights, H.modulus,
                                           present)
     if residual > 1e-12:
-        raise RuntimeError(
+        raise NumericalCheckError(
             f"solver residual {residual} exceeds 1e-12 after {ceiling} sweeps")
     return x, residual
 
@@ -640,7 +650,7 @@ def prob_inversion(H: HydraMap, q: int, n: int) -> Distribution:
     probs = np.fft.ifft(values)
     k = int(np.argmax(np.abs(probs.imag)))
     if abs(probs.imag[k]) > 1e-12:
-        raise RuntimeError(
+        raise NumericalCheckError(
             f"inversion produced imaginary mass {probs.imag[k]} at k = {k}")
     return Distribution(
         q, n, 0, {Fraction(k): p for k, p in enumerate(probs.real.tolist())},
@@ -661,7 +671,7 @@ def prob_empirical(
     if not is_prime(q):
         raise PreconditionError(f"need a prime place, got {q}")
     _guard_size(H.modulus, depth, "truncations", allow_large)
-    B = max(b_constant(H, q), 0)
+    B = _lattice_exponent(H, q)
     scale = Fraction(q) ** B
     hist = _scaled_residue_histogram(H, q, n + B, B, depth)
     size = H.modulus ** depth

@@ -113,6 +113,12 @@ class HydraMap:
     integers (it is enough that den(r_j) | p and r_j*j + c_j is an
     integer).  initial_value optionally pins the map's value at 0 for
     the numen recursion; it must satisfy (1 - r_0)*x = c_0.
+
+    The branches are also held in one integer form, shared by the step
+    and the word folds: with D the lcm of every branch denominator,
+    _steps[j] = (a_j, b_j, D) where a_j = D*r_j and b_j = D*c_j.  A word
+    of length n composes to x -> (A*x + B) / D**n, and appending digit j
+    on the inside sends (A, B) to (A*a_j, A*b_j + D*B).
     """
 
     modulus: int
@@ -132,11 +138,10 @@ class HydraMap:
                 raise MapSpecError(
                     f"branch {j} maps z = {witness} to the non-integer "
                     f"{branch(witness)}")
-        steps = []
-        for b in self.branches:
-            d = math.lcm(b.scale.denominator, b.shift.denominator)
-            steps.append((int(b.scale * d), int(b.shift * d), d))
-        object.__setattr__(self, "_steps", tuple(steps))
+        D = math.lcm(*(x.denominator for b in self.branches
+                       for x in (b.scale, b.shift)))
+        object.__setattr__(self, "_steps", tuple(
+            (int(b.scale * D), int(b.shift * D), D) for b in self.branches))
         if self.initial_value is not None:
             r0, c0 = self.branches[0].scale, self.branches[0].shift
             if (1 - r0) * self.initial_value != c0:
@@ -159,7 +164,7 @@ class HydraMap:
     def apply(self, z: int) -> int:
         """One step of the map on an integer, in integer arithmetic only.
 
-        z in class j goes to (A_j*z + B_j) // D_j.  The division is exact
+        z in class j goes to (a_j*z + b_j) // D.  The division is exact
         because branch j maps its own class into the integers, which
         construction checks; no Fraction is built.
         """

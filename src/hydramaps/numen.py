@@ -53,8 +53,9 @@ def base_value(H: HydraMap) -> Fraction:
 def numen_of_nat(H: HydraMap, n: int) -> Fraction:
     """Exact X(n) for n >= 0 by folding the digits of n over X(0).
 
-    The fold runs on raw integer numerator/denominator pairs and
-    normalizes once at the end, so bulk evaluation stays cheap.
+    The fold runs on the map's integer branch form: with X = num / s,
+    digit j sends num to a_j*num + b_j*s and s to D*s, and the pair is
+    normalized once at the end, so bulk evaluation stays cheap.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
@@ -64,13 +65,14 @@ def numen_of_nat(H: HydraMap, n: int) -> Fraction:
     while n:
         n, d = divmod(n, p)
         digits.append(d)
-    parts = [(b.scale.numerator, b.scale.denominator,
-              b.shift.numerator, b.shift.denominator) for b in H.branches]
-    num, den = base.numerator, base.denominator
+    steps = H._steps
+    D = steps[0][2]
+    num, s = base.numerator, base.denominator
     for d in reversed(digits):
-        rn, rd, cn, cd = parts[d]
-        num, den = rn * num * cd + cn * rd * den, rd * den * cd
-    return Fraction(num, den)
+        a, b, _ = steps[d]
+        num = a * num + b * s
+        s *= D
+    return Fraction(num, s)
 
 
 def numen_of_trunc(H: HydraMap, z: PAdicTrunc) -> Fraction:

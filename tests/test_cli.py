@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hydramaps import MapSpecError, cli
+from hydramaps import MapSpecError, cli, fourier
 from hydramaps.cli import format_report, main, parse_map_spec
 
 
@@ -287,6 +287,45 @@ class TestCharFn:
 
 
 # ---------------------------------------------------------------------------
+# estimators and numerical checks, through charfn and dist
+
+# X(0) = -2/7 is not 7-integral, while rho < 1 and max |r_j|_7 <= 1
+NON_INTEGRAL_ANCHOR = {
+    "p": 2, "branches": [{"r": "9/2", "c": "1"}, {"r": "-7/2", "c": "7/2"}],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["charfn", "--place", "7", "--level", "1", "--method", "estimate",
+     "--depth", "8"],
+    ["dist", "--place", "7", "--exponent", "1", "--method", "empirical",
+     "--depth", "8"],
+])
+def test_estimators_take_a_non_integral_anchor(capsys, tmp_path, argv):
+    path = tmp_path / "anchor.json"
+    path.write_text(json.dumps(NON_INTEGRAL_ANCHOR))
+    report = run_json(capsys, argv + ["--map", str(path)])
+    if argv[0] == "dist":
+        assert report["results"]["b"] == "1"
+        assert any("/7" in row["w"]
+                   for row in report["results"]["probabilities"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["charfn", "--place", "3", "--level", "2"],
+    ["dist", "--place", "3", "--exponent", "2"],
+])
+def test_numerical_check_exit(capsys, monkeypatch, t3_path, argv):
+    # stopping the sweeps at once leaves the residual above 1e-12
+    monkeypatch.setattr(fourier, "_SWEEP_STOP", 1.0)
+    code, out, err = run(capsys, argv + ["--map", t3_path])
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: solver residual")
+    assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
 # dist
 
 class TestDist:
@@ -385,6 +424,16 @@ class TestCorrespond:
         assert results["stray_values"] == [
             "-136", "-91", "-82", "-68", "-61", "-55",
             "-41", "-37", "-34", "-25", "-17"]
+
+    def test_scan_cap_exit(self, capsys, t3_path):
+        # 2**25 - 2 words of length <= 24 exceed the 2**24 cap
+        code, out, err = run(capsys, ["correspond", "--map", t3_path,
+                                      "--range=-10:10", "--scan-length",
+                                      "24"])
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_requires_normalized_map(self, capsys, tmp_path):
         path = tmp_path / "improper.json"

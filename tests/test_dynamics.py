@@ -9,6 +9,7 @@ from hydramaps import (
     OrbitClass,
     Place,
     PreconditionError,
+    ResourceLimitError,
     STATUS_ESCAPED,
     STATUS_PERIODIC,
     STATUS_PREPERIODIC,
@@ -165,14 +166,25 @@ class TestReverseScan:
             set(T3_CYCLES_FLAT))
 
     def test_witness_words_evaluate_back(self, t3):
-        report = reverse_scan(t3, 10)
-        for v, word in report.witness_words.items():
-            n = digit_value(word)
-            L = len(word.entries)
-            if n == 0:
-                assert v == 0
-                continue
-            assert numen_of_rational(t3, F(n, 1 - 2 ** L)) == v
+        # length 16 joins prefixes to the length-10 suffix table
+        for length in (10, 16):
+            report = reverse_scan(t3, length)
+            assert tuple(report.witness_words) == report.integer_values
+            for v, word in report.witness_words.items():
+                n = digit_value(word)
+                L = len(word.entries)
+                if n == 0:
+                    assert v == 0
+                    continue
+                assert numen_of_rational(t3, F(n, 1 - 2 ** L)) == v
+
+    @pytest.mark.parametrize("p,length", [(2, 24), (5, 11)])
+    def test_word_cap(self, p, length):
+        # sum of p**k for k <= length: 2**25 - 2 and (5**12 - 5) / 4,
+        # both above 2**24; refused before any word is scanned
+        H = build_hydra(p, [(F(1, p), F(-j, p)) for j in range(p)])
+        with pytest.raises(ResourceLimitError, match="cap"):
+            reverse_scan(H, length)
 
     def test_scale_one_words_are_skipped(self):
         # scales 2 and 1/2 compose to scale 1 on balanced words

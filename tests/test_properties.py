@@ -13,13 +13,13 @@ the same examples.
 
 import cmath
 from fractions import Fraction
+from unittest import mock
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hydramaps import (
     STATUS_ESCAPED,
     Place,
-    base_value,
     build_hydra,
     charfn_solve,
     charfn_table_estimate,
@@ -28,7 +28,9 @@ from hydramaps import (
     orbit_class_partition,
     prob_empirical,
     prob_inversion,
+    reverse_scan,
 )
+from hydramaps import dynamics
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None,
                     database=None)
@@ -126,6 +128,78 @@ def _shared_iterate_blocks(H, lo, hi, max_steps, escape_bound):
 
 
 # ---------------------------------------------------------------------------
+# the reverse scan over random maps
+
+SCAN = settings(derandomize=True, max_examples=40, deadline=None,
+                database=None)
+# longest drawn scan per modulus: past the block of 2**10 words, so
+# every modulus also joins prefixes to its suffix table
+SCAN_LENGTHS = {2: 13, 3: 8, 5: 5}
+
+
+@st.composite
+def scans(draw):
+    """(p, branch (r, c) pairs, length); the multipliers favour +-1,
+    +-p and +-p**2, so scale-1 words and shared fixed points are common,
+    and the lengths shrink towards the longest."""
+    p = draw(st.sampled_from(sorted(SCAN_LENGTHS)))
+    specs = []
+    for j in range(p):
+        a = draw(st.sampled_from([1, -1, p, -p, p * p, -p * p])
+                 | st.integers(-12, 12).filter(bool))
+        k = draw(st.integers(-3, 3))
+        specs.append((Fraction(a, p), Fraction(-a * j, p) + k))
+    longest = SCAN_LENGTHS[p]
+    return p, specs, longest - draw(st.integers(0, longest - 1))
+
+
+def _scan_by_fractions(specs, max_length):
+    """Words scanned, words of scale 1, and each integer fixed point's
+    witness: depth first over the word tree with digits pushed from 0
+    up (so popped from p - 1 down), extending (scale, shift) on the
+    inside, and keeping the first word met among the shortest."""
+    witnesses = {}
+    scanned = skipped = 0
+    stack = [(Fraction(1), Fraction(0), ())]
+    while stack:
+        scale, shift, word = stack.pop()
+        if word:
+            scanned += 1
+            if scale == 1:
+                skipped += 1
+            else:
+                x = shift / (1 - scale)
+                v = x.numerator
+                if x.denominator == 1 and (
+                        v not in witnesses or len(word) < len(witnesses[v])):
+                    witnesses[v] = word
+        if len(word) < max_length:
+            for j, (r, c) in enumerate(specs):
+                stack.append((scale * r, scale * c + shift, word + (j,)))
+    return scanned, skipped, witnesses
+
+
+@SCAN
+@given(scans())
+def test_scan_is_the_fraction_fold(scan):
+    p, specs, length = scan
+    H = build_hydra(p, specs)
+    scanned, skipped, witnesses = _scan_by_fractions(specs, length)
+    # the default block, and blocks of p**2 words, whose prefixes are
+    # themselves joined from table words past length 4
+    with mock.patch.object(dynamics, "SCAN_BLOCK", p * p):
+        small = reverse_scan(H, length)
+    for report in (reverse_scan(H, length), small):
+        # ScanReport equality ignores witness_words, so each field is
+        # compared on its own
+        assert report.words_scanned == scanned
+        assert report.skipped == skipped
+        assert report.integer_values == tuple(sorted(witnesses))
+        assert {v: w.entries for v, w in report.witness_words.items()} \
+            == witnesses
+
+
+# ---------------------------------------------------------------------------
 # the Fourier layer over random maps
 
 SPECTRAL = settings(derandomize=True, max_examples=50, deadline=None,
@@ -183,14 +257,13 @@ def test_table_estimate_is_the_character_sum_of_the_histogram(
     """mu-hat(k / q**L) = sum over w of P(X = w mod q**L) e(-k w / q**L),
     summed term by term over prob_empirical's exact histogram."""
     H, q = map_and_place
-    # the truncation values carry X(0), which must be q-integral
-    assume(base_value(H).denominator % q)
     N = q ** level
     table = charfn_table_estimate(H, Place.finite(q), depth, level=level)
     hist = prob_empirical(H, q, level, depth).probabilities
     assert len(table.values) == N
     for t, value in table.values.items():
         k = int(t.value * N)
-        expected = sum(prob * cmath.exp(-2j * cmath.pi * (k * int(w) % N) / N)
+        # w lies in q**-B * Z, so k*w/N is reduced mod 1 exactly
+        expected = sum(prob * cmath.exp(-2j * cmath.pi * float(k * w / N % 1))
                        for w, prob in hist.items())
         assert abs(value - expected) <= 1e-12
