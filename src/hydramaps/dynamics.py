@@ -29,8 +29,9 @@ from .errors import (
     ResourceLimitError,
 )
 from .exact import Place, abs_at_place
-from .hydra import DigitString, HydraMap, classify, compose_branches, digit_value
-from .numen import find_contracting_place, numen_of_rational, periodic_word_value
+from .hydra import (DigitString, HydraMap, _word_form, classify,
+                    compose_branches, digit_value)
+from .numen import find_contracting_place, numen_of_rational
 
 STATUS_PERIODIC = "periodic"
 STATUS_PREPERIODIC = "preperiodic"
@@ -426,7 +427,8 @@ def _certify(
     n = digit_value(string)
     z = Fraction(n, 1 - p ** len(string.entries))
 
-    scale = compose_branches(H, string).scale
+    A, B, Dn = _word_form(H, string.entries)
+    scale = Fraction(A, Dn)
     chosen = place
     if chosen is None or not abs_at_place(scale, chosen) < 1:
         chosen = find_contracting_place(scale)
@@ -444,7 +446,7 @@ def _certify(
             verified=False, place=chosen,
             note=f"numen evaluation failed: {exc}")
     ok = (
-        x == periodic_word_value(H, string)
+        x == Fraction(B, Dn - A)
         and x in cycle
         and not (z.denominator == 1 and z >= 0)
         and math.gcd(z.denominator, p) == 1

@@ -15,8 +15,8 @@ EXIT_PRECONDITION = 3
 EXIT_RESOURCE = 4
 EXIT_NUMERICAL = 5
 
-# the most states (truncations, frequencies, scanned words) an
-# exponential enumeration may visit
+# the most states (truncations, frequencies, coefficients, scanned
+# words) an exponential enumeration may visit
 ENUMERATION_CAP = 2 ** 24
 
 
@@ -49,3 +49,17 @@ class ResourceLimitError(HydraError, RuntimeError):
 class NumericalCheckError(HydraError, RuntimeError):
     """A floating-point result missed the tolerance it is checked
     against (a solver residual, the imaginary mass of an inversion)."""
+
+
+def _guard_size(base: int, exponent: int, what: str,
+                allow_large: bool | None = None) -> None:
+    """Refuse a negative exponent, and more than ENUMERATION_CAP
+    base**exponent states unless allow_large is set (None when the
+    caller offers no override); called before anything is allocated."""
+    if exponent < 0:
+        raise ValueError(
+            f"need {base}**n {what} with n >= 0, got n = {exponent}")
+    if not allow_large and base ** exponent > ENUMERATION_CAP:
+        hint = "" if allow_large is None else "; pass allow_large to override"
+        raise ResourceLimitError(
+            f"{base}**{exponent} {what} exceed the {ENUMERATION_CAP} cap{hint}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
-from .errors import MapSpecError, NotPIntegralError
+from .errors import MapSpecError, NotPIntegralError, _guard_size
 
 RationalLike = Union[int, Fraction]
 
@@ -67,6 +67,23 @@ def prime_factors(n: int) -> list[int]:
     if m > 1:
         out.append(m)
     return out
+
+
+def _digits(n: int, p: int) -> list[int]:
+    """Base-p digits of n >= 0, lowest first: the one divmod loop."""
+    digits = []
+    while n:
+        n, d = divmod(n, p)
+        digits.append(d)
+    return digits
+
+
+def _horner(digits, p: int) -> int:
+    """sum(digits[k] * p**k): the one Horner loop."""
+    total = 0
+    for d in reversed(digits):
+        total = total * p + d
+    return total
 
 
 def _int_valuation(n: int, p: int) -> int:
@@ -232,12 +249,8 @@ class PAdicTrunc:
     def from_int(cls, value: int, base: int, depth: int) -> "PAdicTrunc":
         if depth < 0:
             raise ValueError(f"need depth >= 0, got {depth}")
-        value %= base ** depth if depth else 1
-        digits = []
-        for _ in range(depth):
-            value, d = divmod(value, base)
-            digits.append(d)
-        return cls(base, tuple(digits))
+        digits = _digits(value % base ** depth, base)
+        return cls(base, tuple(digits) + (0,) * (depth - len(digits)))
 
     @property
     def depth(self) -> int:
@@ -245,10 +258,7 @@ class PAdicTrunc:
 
     @property
     def value(self) -> int:
-        total = 0
-        for d in reversed(self.digits):
-            total = total * self.base + d
-        return total
+        return _horner(self.digits, self.base)
 
     def shift(self) -> "PAdicTrunc":
         """Drop the lowest digit: the shift map at one less depth."""
@@ -293,11 +303,10 @@ class RationalDigitExpansion:
 
     def to_rational(self) -> Fraction:
         p = self.base
-        s = len(self.preperiod)
-        head = sum(d * p ** k for k, d in enumerate(self.preperiod))
-        block = sum(d * p ** k for k, d in enumerate(self.period))
-        tail = Fraction(block, 1 - p ** len(self.period))
-        return head + Fraction(p) ** s * tail
+        den = 1 - p ** len(self.period)
+        return Fraction(_horner(self.preperiod, p) * den
+                        + p ** len(self.preperiod) * _horner(self.period, p),
+                        den)
 
     def canonical(self) -> "RationalDigitExpansion":
         return digit_expansion(self.to_rational(), self.base)
@@ -306,21 +315,25 @@ class RationalDigitExpansion:
 def digit_expansion(r: RationalLike, p: int) -> RationalDigitExpansion:
     """Canonical eventually periodic base-p expansion of a p-integral r.
 
-    Iterates the shift z -> (z - [z]_p) / p and detects the first state
-    repeat; distinct shift states biject with digit tails, so the first
-    repeat yields the minimal period and then the minimal preperiod.
+    With r = a / b and b fixed, the shift z -> (z - [z]_p) / p sends a to
+    (a - d*b) / p, d = a * b**-1 mod p.  States biject with digit tails,
+    so the first repeat gives the minimal period, then preperiod.
     """
     if p < 2:
         raise ValueError(f"need base >= 2, got {p}")
-    z = Fraction(r)
-    seen: dict[Fraction, int] = {}
+    r = Fraction(r)
+    a, b = r.as_integer_ratio()
+    if math.gcd(b, p) != 1:
+        raise NotPIntegralError(f"{r} is not {p}-integral (denominator {b})")
+    inverse = pow(b, -1, p)
+    seen: dict[int, int] = {}
     digits: list[int] = []
-    while z not in seen:
-        seen[z] = len(digits)
-        d = residue_mod(z, p, 1)
+    while a not in seen:
+        seen[a] = len(digits)
+        d = a * inverse % p
         digits.append(d)
-        z = (z - d) / p
-    start = seen[z]
+        a = (a - d * b) // p
+    start = seen[a]
     return RationalDigitExpansion(p, tuple(digits[:start]), tuple(digits[start:]))
 
 
@@ -410,7 +423,9 @@ class Frequency:
 
 
 def frequencies_through_level(q: int, n: int) -> list[Frequency]:
-    """All q**n frequencies of level <= n: j / q**n for 0 <= j < q**n."""
+    """All q**n frequencies of level <= n: j / q**n for 0 <= j < q**n.
+    Refuses more than ENUMERATION_CAP of them."""
+    _guard_size(q, n, "frequencies")
     N = q ** n
     return [Frequency(q, Fraction(j, N)) for j in range(N)]
 

@@ -20,6 +20,7 @@ kept independent so each can check the other.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -29,11 +30,10 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import (
-    ENUMERATION_CAP,
     NotPIntegralError,
     NumericalCheckError,
     PreconditionError,
-    ResourceLimitError,
+    _guard_size,
 )
 from .exact import (
     Frequency,
@@ -48,25 +48,11 @@ from .exact import (
     unit_root,
     valuation,
 )
-from .hydra import HydraMap
+from .hydra import HydraMap, _word_image
 from .numen import base_value, convergence_report
 
 # the level sweeps stop once the self-similarity defect is this small
 _SWEEP_STOP = 1e-15
-
-
-def _guard_size(base: int, exponent: int, what: str,
-                allow_large: bool | None = None) -> None:
-    """Refuse a negative exponent, and more than ENUMERATION_CAP
-    truncations or frequencies unless allow_large is set (None when the
-    caller offers no override)."""
-    if exponent < 0:
-        raise ValueError(
-            f"need {base}**n {what} with n >= 0, got n = {exponent}")
-    if not allow_large and base ** exponent > ENUMERATION_CAP:
-        hint = "" if allow_large is None else "; pass allow_large to override"
-        raise ResourceLimitError(
-            f"{base}**{exponent} {what} exceed the {ENUMERATION_CAP} cap{hint}")
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +90,7 @@ class SBFunction:
     @classmethod
     def indicator(cls, k: int, n: int, base: int) -> "SBFunction":
         """The indicator of the ball k + base**n * Z_base."""
+        _guard_size(base, n, "coefficients")
         size = base ** n
         k %= size
         return cls(base, n,
@@ -116,6 +103,7 @@ class SBFunction:
         """Sum of coeff * indicator(k mod base**n) over (k, n, coeff)."""
         terms = list(terms)
         level = max((n for _, n, _ in terms), default=0)
+        _guard_size(base, level, "coefficients")
         size = base ** level
         coeffs = [0j] * size
         for k, n, coeff in terms:
@@ -131,6 +119,7 @@ class SBFunction:
             raise ValueError(f"cannot coarsen level {self.level} to {level}")
         if level == self.level:
             return self
+        _guard_size(self.base, level, "coefficients")
         step = self.base ** self.level
         size = self.base ** level
         return SBFunction(self.base, level,
@@ -333,17 +322,12 @@ def _lattice_exponent(H: HydraMap, q: int) -> int:
 
 
 def _series_values(H: HydraMap, depth: int) -> Iterable[Fraction]:
-    """Exact numen values of all modulus**depth truncations."""
+    """Exact numen values of all modulus**depth truncations, their digit
+    words in descending order, each word's fold applied to X(0)."""
     anchor = base_value(H)
-    stack = [(depth, Fraction(1), Fraction(0))]
-    while stack:
-        remaining, prod, partial = stack.pop()
-        if remaining == 0:
-            yield partial + prod * anchor
-            continue
-        for b in H.branches:
-            stack.append((remaining - 1, prod * b.scale,
-                          partial + prod * b.shift))
+    digits = range(H.modulus - 1, -1, -1)
+    for word in itertools.product(digits, repeat=depth):
+        yield _word_image(H, word, anchor)
 
 
 def _scaled_residue_histogram(

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import MapSpecError
-from .exact import RationalLike
+from .exact import RationalLike, _digits, _horner
 
 
 @dataclass(frozen=True)
@@ -86,10 +86,7 @@ def concat(i: DigitString, j: DigitString) -> DigitString:
 
 def digit_value(s: DigitString) -> int:
     """sum(entries[k] * base**k): the natural number the string names."""
-    total = 0
-    for e in reversed(s.entries):
-        total = total * s.base + e
-    return total
+    return _horner(s.entries, s.base)
 
 
 def digits_of(n: int, p: int) -> DigitString:
@@ -98,11 +95,7 @@ def digits_of(n: int, p: int) -> DigitString:
         raise ValueError(f"need n >= 0, got {n}")
     if p < 2:
         raise ValueError(f"need base >= 2, got {p}")
-    entries = []
-    while n:
-        n, d = divmod(n, p)
-        entries.append(d)
-    return DigitString(p, tuple(entries))
+    return DigitString(p, tuple(_digits(n, p)))
 
 
 @dataclass(frozen=True)
@@ -114,11 +107,12 @@ class HydraMap:
     integer).  initial_value optionally pins the map's value at 0 for
     the numen recursion; it must satisfy (1 - r_0)*x = c_0.
 
-    The branches are also held in one integer form, shared by the step
-    and the word folds: with D the lcm of every branch denominator,
-    _steps[j] = (a_j, b_j, D) where a_j = D*r_j and b_j = D*c_j.  A word
-    of length n composes to x -> (A*x + B) / D**n, and appending digit j
-    on the inside sends (A, B) to (A*a_j, A*b_j + D*B).
+    The branches are also held in one integer form: with D the lcm of
+    every branch denominator, _steps[j] = (a_j, b_j, D) where a_j = D*r_j
+    and b_j = D*c_j.  The step reads it, and so does the one word fold
+    _word_form behind every composite, periodic point and numen value: a
+    word of length n composes to x -> (A*x + B) / D**n, and appending
+    digit j on the inside sends (A, B) to (A*a_j, A*b_j + D*B).
     """
 
     modulus: int
@@ -280,9 +274,23 @@ def compose_branches(H: HydraMap, s: DigitString) -> AffineMap:
     """
     if s.base != H.modulus:
         raise ValueError(f"string base {s.base} != map modulus {H.modulus}")
-    scale, shift = Fraction(1), Fraction(0)
-    for j in reversed(s.entries):
-        branch = H.branches[j]
-        scale = branch.scale * scale
-        shift = branch.scale * shift + branch.shift
-    return AffineMap(scale, shift)
+    A, B, Dn = _word_form(H, s.entries)
+    return AffineMap(Fraction(A, Dn), Fraction(B, Dn))
+
+
+def _word_form(H: HydraMap, digits) -> tuple[int, int, int]:
+    """(A, B, D**n) with x -> (A*x + B) / D**n the composite of the
+    length-n word, entry 0 outermost (see HydraMap)."""
+    steps = H._steps
+    D = steps[0][2]
+    A, B = 1, 0
+    for j in digits:
+        a, b, _ = steps[j]
+        A, B = A * a, A * b + D * B
+    return A, B, D ** len(digits)
+
+
+def _word_image(H: HydraMap, digits, x: Fraction) -> Fraction:
+    """The word's composite applied to x, as one Fraction."""
+    A, B, Dn = _word_form(H, digits)
+    return Fraction(A * x.numerator + B * x.denominator, Dn * x.denominator)

@@ -1,11 +1,11 @@
 """The numen of a hydra map: the solution of X(p*n + j) = r_j*X(n) + c_j.
 
-Evaluation on natural numbers and finite truncations is exact rational
-arithmetic.  On p-adic inputs the numen is a limit; convergence_report
-classifies, per place, whether that limit exists almost everywhere or
-uniformly, and numen_of_rational evaluates it in closed form on
-eventually periodic inputs wherever some place contracts the periodic
-block.
+X of a natural number or a finite truncation is the branch word of its
+digits applied to X(0), one integer fold (hydra._word_form).  On p-adic
+inputs the numen is a limit; convergence_report classifies, per place,
+whether that limit exists almost everywhere or uniformly, and
+numen_of_rational evaluates it in closed form on eventually periodic
+inputs wherever some place contracts the periodic block.
 """
 
 from __future__ import annotations
@@ -21,11 +21,12 @@ from .exact import (
     Place,
     RationalDigitExpansion,
     RationalLike,
+    _digits,
     abs_at_place,
     digit_expansion,
     valuation,
 )
-from .hydra import DigitString, HydraMap, compose_branches, digits_of
+from .hydra import DigitString, HydraMap, _word_form, _word_image, digits_of
 
 GUARANTEE_UNIFORM = "uniform-continuous"
 GUARANTEE_AE = "almost-everywhere"
@@ -51,28 +52,11 @@ def base_value(H: HydraMap) -> Fraction:
 
 
 def numen_of_nat(H: HydraMap, n: int) -> Fraction:
-    """Exact X(n) for n >= 0 by folding the digits of n over X(0).
-
-    The fold runs on the map's integer branch form: with X = num / s,
-    digit j sends num to a_j*num + b_j*s and s to D*s, and the pair is
-    normalized once at the end, so bulk evaluation stays cheap.
-    """
+    """Exact X(n) for n >= 0: the branch word of n's base-p digits
+    (lowest digit outermost) applied to X(0)."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    base = base_value(H)
-    p = H.modulus
-    digits = []
-    while n:
-        n, d = divmod(n, p)
-        digits.append(d)
-    steps = H._steps
-    D = steps[0][2]
-    num, s = base.numerator, base.denominator
-    for d in reversed(digits):
-        a, b, _ = steps[d]
-        num = a * num + b * s
-        s *= D
-    return Fraction(num, s)
+    return _word_image(H, _digits(n, H.modulus), base_value(H))
 
 
 def numen_of_trunc(H: HydraMap, z: PAdicTrunc) -> Fraction:
@@ -84,13 +68,7 @@ def numen_of_trunc(H: HydraMap, z: PAdicTrunc) -> Fraction:
     """
     if z.base != H.modulus:
         raise ValueError(f"truncation base {z.base} != map modulus {H.modulus}")
-    prod = Fraction(1)
-    x = Fraction(0)
-    for d in z.digits:
-        b = H.branches[d]
-        x += prod * b.shift
-        prod *= b.scale
-    return x + prod * base_value(H)
+    return _word_image(H, z.digits, base_value(H))
 
 
 @dataclass(frozen=True)
@@ -194,11 +172,13 @@ def find_contracting_place(scale: Fraction) -> Place | None:
 def periodic_word_value(H: HydraMap, word: DigitString) -> Fraction:
     """Fixed point of the composite along word: X of the p-adic number
     whose digits repeat word.  Requires the composite scale != 1."""
-    aff = compose_branches(H, word)
-    if aff.scale == 1:
+    if word.base != H.modulus:
+        raise ValueError(f"string base {word.base} != map modulus {H.modulus}")
+    A, B, Dn = _word_form(H, word.entries)
+    if A == Dn:
         raise PreconditionError(
             "periodic block composes to scale 1: no unique fixed point")
-    return aff.shift / (1 - aff.scale)
+    return Fraction(B, Dn - A)
 
 
 def numen_of_rational(
@@ -227,22 +207,20 @@ def numen_of_rational(
     if all(d == 0 for d in z.period):
         return numen_of_nat(H, int(z.to_rational()))
 
-    word = DigitString(H.modulus, z.period)
-    aff = compose_branches(H, word)
+    A, B, Dn = _word_form(H, z.period)
+    scale = Fraction(A, Dn)
     if place is None:
-        place = find_contracting_place(aff.scale)
+        place = find_contracting_place(scale)
         if place is None:
             raise PreconditionError(
-                f"no place contracts the periodic block (scale {aff.scale})")
-    if not abs_at_place(aff.scale, place) < 1:
+                f"no place contracts the periodic block (scale {scale})")
+    if not abs_at_place(scale, place) < 1:
         raise PreconditionError(
-            f"requires |scale| < 1 at the place: block scale {aff.scale} "
+            f"requires |scale| < 1 at the place: block scale {scale} "
             f"has norm >= 1 at {place}")
 
-    x = aff.shift / (1 - aff.scale)
-    for d in reversed(z.preperiod):
-        b = H.branches[d]
-        x = b.scale * x + b.shift
+    # the block's fixed point B / (D**n - A), then the preperiod over it
+    x = _word_image(H, z.preperiod, Fraction(B, Dn - A))
     _verify_against_truncations(H, z, x, place)
     return x
 

@@ -169,6 +169,16 @@ def test_digit_expansion_examples():
     assert e.preperiod == (0, 1, 1) and e.period == (0,)
 
 
+def test_digit_expansion_rejects_non_integral():
+    # the integer loop makes this check itself, at prime and composite bases
+    with pytest.raises(NotPIntegralError, match="1/2 is not 2-integral"):
+        digit_expansion(F(1, 2), 2)
+    with pytest.raises(NotPIntegralError, match="1/3 is not 6-integral"):
+        digit_expansion(F(1, 3), 6)
+    with pytest.raises(NotPIntegralError):
+        digit_expansion(F(-5, 12), 6)
+
+
 def test_digit_expansion_digits_match_residues():
     # digit k = (residue at k+1 - residue at k) / p^k
     for r in (F(-1, 3), F(5, 7), F(-22, 9), F(6)):

@@ -118,6 +118,15 @@ class TestSBFunction:
         with pytest.raises(ValueError):
             g.refine(1)
 
+    def test_coefficient_cap(self):
+        # 2**25 coefficients are refused before any is built
+        with pytest.raises(ResourceLimitError):
+            SBFunction.indicator(0, 25, 2)
+        with pytest.raises(ResourceLimitError):
+            SBFunction.from_terms(2, [(0, 1, 1.0), (1, 25, 2.0)])
+        with pytest.raises(ResourceLimitError):
+            SBFunction.indicator(1, 1, 2).refine(25)
+
 
 # ---------------------------------------------------------------------------
 # Haar integration
@@ -248,6 +257,12 @@ class TestOrthogonality:
             same = residue_mod(x, q, n) == residue_mod(y, q, n)
             expected = q ** n if same else 0
             assert got == pytest.approx(expected, abs=1e-9)
+
+    def test_frequency_cap(self):
+        with pytest.raises(ResourceLimitError):
+            frequencies_through_level(2, 25)
+        with pytest.raises(ResourceLimitError):
+            orthogonality_sum(2, 25, 0, 1)
 
     def test_additive_character(self):
         assert additive_character(P3, F(1, 3)) == pytest.approx(

@@ -12,20 +12,33 @@ the same examples.
 """
 
 import cmath
+import math
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hydramaps import (
     STATUS_ESCAPED,
+    AffineMap,
+    DigitString,
+    NotPIntegralError,
+    PAdicTrunc,
     Place,
+    PreconditionError,
     build_hydra,
     charfn_solve,
     charfn_table_estimate,
+    compose_branches,
+    digit_expansion,
     find_cycles,
+    numen_of_nat,
+    numen_of_rational,
+    numen_of_trunc,
     orbit,
     orbit_class_partition,
+    periodic_word_value,
     prob_empirical,
     prob_inversion,
     reverse_scan,
@@ -267,3 +280,134 @@ def test_table_estimate_is_the_character_sum_of_the_histogram(
         expected = sum(prob * cmath.exp(-2j * cmath.pi * float(k * w / N % 1))
                        for w, prob in hist.items())
         assert abs(value - expected) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the word fold, the numen and digit expansions over random proper maps
+
+FOLD = settings(derandomize=True, max_examples=100, deadline=None,
+                database=None)
+
+
+@st.composite
+def proper_maps(draw):
+    """Integer-closed maps with r_0 != 1 and p in {2, 3, 5}; a branch may
+    carry an integer scale and shift, so the common denominator D of the
+    integer branch form need not be any one branch's denominator."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    specs = []
+    for j in range(p):
+        a = draw(st.integers(-12, 12).filter(bool))
+        if draw(st.booleans()):
+            a *= p
+        k = draw(st.integers(-3, 3))
+        specs.append((Fraction(a, p), Fraction(-a * j, p) + k))
+    if specs[0][0] == 1:
+        specs[0] = (Fraction(-1), specs[0][1])
+    return build_hydra(p, specs)
+
+
+def _fold(H, word, x=None):
+    """(scale, shift) of the composite along word, entry 0 outermost, on
+    Fractions; or that composite applied to x."""
+    scale, shift = Fraction(1), Fraction(0)
+    for j in word:
+        branch = H.branches[j]
+        scale, shift = scale * branch.scale, scale * branch.shift + shift
+    return (scale, shift) if x is None else scale * x + shift
+
+
+def _anchor(H):
+    r0, c0 = H.branches[0].scale, H.branches[0].shift
+    return c0 / (1 - r0)
+
+
+def _base_digits(n, p):
+    digits = []
+    while n:
+        digits.append(n % p)
+        n //= p
+    return digits
+
+
+@FOLD
+@given(proper_maps(), st.lists(st.lists(st.integers(0, 4), max_size=12),
+                               min_size=1, max_size=6))
+def test_compose_and_periodic_value_are_the_fraction_fold(H, words):
+    p = H.modulus
+    for word in words:
+        word = tuple(j % p for j in word)
+        scale, shift = _fold(H, word)
+        string = DigitString(p, word)
+        assert compose_branches(H, string) == AffineMap(scale, shift)
+        if scale == 1:
+            with pytest.raises(PreconditionError):
+                periodic_word_value(H, string)
+        else:
+            assert periodic_word_value(H, string) == shift / (1 - scale)
+
+
+@FOLD
+@given(proper_maps(), st.lists(st.integers(0, 2 ** 80), min_size=1,
+                               max_size=8))
+def test_numen_recursion_and_truncations(H, ns):
+    p = H.modulus
+    for n in ns:
+        digits = _base_digits(n, p)
+        x = numen_of_nat(H, n)
+        assert x == _fold(H, digits, _anchor(H))
+        for j in range(p):
+            branch = H.branches[j]
+            assert numen_of_nat(H, p * n + j) == branch.scale * x + branch.shift
+        for depth in range(len(digits), len(digits) + 3):
+            z = PAdicTrunc.from_int(n, p, depth)
+            assert z.digits == tuple(digits) + (0,) * (depth - len(digits))
+            assert numen_of_trunc(H, z) == x
+
+
+@st.composite
+def maps_and_rationals(draw):
+    H = draw(proper_maps())
+    p = H.modulus
+    dens = st.integers(1, 300).filter(lambda b: math.gcd(b, p) == 1)
+    rs = st.builds(Fraction, st.integers(-10 ** 4, 10 ** 4), dens)
+    return H, draw(st.lists(rs, min_size=1, max_size=6))
+
+
+@FOLD
+@given(maps_and_rationals())
+def test_numen_of_rational_is_the_preperiod_over_the_fixed_point(case):
+    H, rs = case
+    for r in rs:
+        z = digit_expansion(r, H.modulus)
+        scale, shift = _fold(H, z.period)
+        contracts = abs(scale.numerator) > 1 or abs(scale) < 1
+        if any(z.period) and not contracts:
+            with pytest.raises(PreconditionError):
+                numen_of_rational(H, r)
+            continue
+        fixed = _anchor(H) if not any(z.period) else shift / (1 - scale)
+        assert numen_of_rational(H, r) == _fold(H, z.preperiod, fixed)
+
+
+@FOLD
+@given(st.sampled_from([2, 3, 5, 6, 10]), st.integers(-10 ** 6, 10 ** 6),
+       st.integers(1, 10 ** 4))
+def test_digit_expansion_roundtrips_and_is_canonical(p, a, b):
+    r = Fraction(a, b)
+    if math.gcd(r.denominator, p) != 1:
+        with pytest.raises(NotPIntegralError):
+            digit_expansion(r, p)
+        return
+    z = digit_expansion(r, p)
+    pre, per = z.preperiod, z.period
+    head = sum(d * p ** k for k, d in enumerate(pre))
+    block = sum(d * p ** k for k, d in enumerate(per))
+    assert head + Fraction(p ** len(pre) * block, 1 - p ** len(per)) == r
+    assert z.to_rational() == r
+    assert z.canonical() == z
+    # canonical: the period is no repetition of a shorter block, and the
+    # preperiod cannot give up its last digit to the period
+    t = len(per)
+    assert all(per != per[:s] * (t // s) for s in range(1, t) if t % s == 0)
+    assert not (pre and pre[-1] == per[-1])
