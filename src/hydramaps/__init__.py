@@ -10,6 +10,8 @@ correspondence, and computes its characteristic function and residue
 distributions by non-archimedean Fourier analysis.
 """
 
+from importlib import import_module as _import_module
+
 from .errors import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -97,27 +99,35 @@ from .dynamics import (
     orbit_class_partition,
     reverse_scan,
 )
-from .fourier import (
-    CharFnTable,
-    Distribution,
-    SBFunction,
-    additive_character,
-    b_constant,
-    charfn_estimate,
-    charfn_solve,
-    charfn_table_estimate,
-    fourier_sb,
-    haar_integral_riemann,
-    haar_integral_sb,
-    inverse_fourier_sb,
-    orthogonality_sum,
-    prob_empirical,
-    prob_inversion,
-    selfsim_residual,
-    total_variation,
-)
 from .cli import format_report, main, parse_map_spec
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The Fourier layer is the only one that needs numpy, so it loads on the
+# first use of one of these names (PEP 562).  Each access is looked up in
+# the fourier module again rather than cached here, so rebinding a name
+# inside fourier stays visible through the package.
+_FOURIER_NAMES = (
+    "CharFnTable", "Distribution", "SBFunction", "additive_character",
+    "b_constant", "charfn_estimate", "charfn_solve", "charfn_table_estimate",
+    "fourier_sb", "haar_integral_riemann", "haar_integral_sb",
+    "inverse_fourier_sb", "orthogonality_sum", "prob_empirical",
+    "prob_inversion", "selfsim_residual", "total_variation",
+)
+
+__all__ = sorted(
+    [name for name in dir() if not name.startswith("_")]
+    + ["fourier", *_FOURIER_NAMES])
+
+
+def __getattr__(name: str):
+    if name == "fourier" or name in _FOURIER_NAMES:
+        # import_module, not `from . import fourier`: the latter asks this
+        # module for the attribute first and would recurse
+        fourier = _import_module(f"{__name__}.fourier")
+        return fourier if name == "fourier" else getattr(fourier, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -19,7 +19,7 @@ import io
 import json
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     EXIT_NUMERICAL,
@@ -48,15 +48,11 @@ from .numen import (
     numen_of_trunc,
 )
 from .dynamics import correspondence_roundtrip, find_cycles, orbit
-from .fourier import (
-    CharFnTable,
-    Distribution,
-    charfn_solve,
-    charfn_table_estimate,
-    prob_empirical,
-    prob_inversion,
-    total_variation,
-)
+
+# fourier (and numpy with it) is imported inside the two commands that
+# use it, so the other five start without it
+if TYPE_CHECKING:
+    from .fourier import CharFnTable, Distribution
 
 SCHEMA_VERSION = "1"
 
@@ -327,6 +323,8 @@ def _cmd_numen(args) -> dict:
 
 
 def _cmd_charfn(args) -> dict:
+    from .fourier import charfn_solve, charfn_table_estimate
+
     H = _load_map(args.map)
     place = _parse_place(args.place)
     if not place.is_finite:
@@ -352,6 +350,8 @@ def _cmd_charfn(args) -> dict:
 
 
 def _cmd_dist(args) -> dict:
+    from .fourier import prob_empirical, prob_inversion, total_variation
+
     H = _load_map(args.map)
     place = _parse_place(args.place)
     if not place.is_finite:

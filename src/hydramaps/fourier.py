@@ -252,6 +252,7 @@ def inverse_fourier_sb(
         raise PreconditionError(f"need a prime base, got {base}")
     if level is None:
         level = max((t.level for t in table), default=0)
+    _guard_size(base, level, "coefficients")
     x, _ = _frequency_vector(table, base, level)
     return SBFunction(base, level, tuple((np.fft.ifft(x) * x.size).tolist()))
 
@@ -421,11 +422,20 @@ def charfn_estimate(
 
     if isinstance(t, Frequency):
         raise ValueError("archimedean estimates take a real t, not a Frequency")
-    tf = Fraction(t)
-    total = 0j
+    return _archimedean_estimates(H, [Fraction(t)], depth)[0]
+
+
+def _archimedean_estimates(
+    H: HydraMap, grid: Sequence[Fraction], depth: int,
+) -> list[complex]:
+    """The average of e(-t X) over all modulus**depth truncations at every
+    t of the grid, from one streamed enumeration of the values X (each
+    t's sum runs over the values in the same order as a lone estimate)."""
+    totals = [0j] * len(grid)
     for x in _series_values(H, depth):
-        total += unit_root((-tf * x) % 1)
-    return total / H.modulus ** depth
+        for i, t in enumerate(grid):
+            totals[i] += unit_root((-t * x) % 1)
+    return [total / H.modulus ** depth for total in totals]
 
 
 def charfn_table_estimate(
@@ -451,9 +461,9 @@ def charfn_table_estimate(
                            method="estimate")
     if grid is None:
         raise ValueError("archimedean tables need an explicit grid")
-    values = {Fraction(t): charfn_estimate(H, place, Fraction(t), depth,
-                                           force=True, allow_large=allow_large)
-              for t in grid}
+    _guard_size(H.modulus, depth, "truncations", allow_large)
+    points = [Fraction(t) for t in grid]
+    values = dict(zip(points, _archimedean_estimates(H, points, depth)))
     values.setdefault(Fraction(0), 1 + 0j)
     return CharFnTable(place, None, values, method="estimate")
 

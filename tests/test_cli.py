@@ -1,9 +1,15 @@
-"""End-to-end tests of the command-line interface via main(argv)."""
+"""End-to-end tests of the command-line interface via main(argv), and
+in fresh interpreters where the import itself is under test."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hydramaps
 from hydramaps import MapSpecError, cli, fourier
 from hydramaps.cli import format_report, main, parse_map_spec
 
@@ -463,3 +469,98 @@ class TestArgparse:
             cli.console_entry()
         assert exc.value.code == 2  # no argv: missing subcommand
         capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# package surface: the Fourier names resolve lazily
+
+PUBLIC_NAMES = """
+    AffineMap Branch CharFnTable ConvergenceReport
+    CorrespondenceCertificate CorrespondenceResult DensityProfile
+    DigitString Distribution EXIT_NUMERICAL EXIT_OK EXIT_PRECONDITION
+    EXIT_RESOURCE EXIT_SPEC_ERROR Frequency GUARANTEE_AE GUARANTEE_NONE
+    GUARANTEE_UNIFORM HydraError HydraMap INFINITY MapProperties
+    MapSpecError NotPIntegralError NumericalCheckError OrbitClass
+    OrbitReport PAdicTrunc Place PreconditionError
+    RationalDigitExpansion ResourceLimitError SBFunction STATUS_ESCAPED
+    STATUS_PERIODIC STATUS_PREPERIODIC ScanReport abs_at_place
+    abs_finite additive_character b_constant base_value build_hydra
+    center_map character_angle character_eval charfn_estimate
+    charfn_solve charfn_table_estimate classify cli compose_branches
+    concat convergence_report correspondence_roundtrip crt_split
+    cycle_string density_criterion digit_densities digit_expansion
+    digit_value digits_of drop_lowest_digit dynamics ell_bound_check
+    errors exact find_contracting_place find_cycles format_rational
+    format_report fourier fourier_sb fractional_part
+    frequencies_through_level haar_integral_riemann haar_integral_sb
+    hydra inverse_fourier_sb is_prime main numen numen_of_nat
+    numen_of_rational numen_of_trunc orbit orbit_class_partition
+    orthogonality_sum parse_map_spec parse_rational periodic_word_value
+    prime_factors prob_empirical prob_inversion
+    repeating_digits_rational residue_mod reverse_scan selfsim_residual
+    shortened_collatz total_variation unit_factorization unit_part
+    unit_root valuation
+""".split()
+
+
+class TestPackageSurface:
+    def test_all_is_unchanged_and_resolves(self):
+        assert len(PUBLIC_NAMES) == 104
+        assert set(hydramaps.__all__) == set(PUBLIC_NAMES)
+        for name in hydramaps.__all__:
+            getattr(hydramaps, name)
+        namespace = {}
+        exec("from hydramaps import *", namespace)
+        assert set(PUBLIC_NAMES) <= set(namespace)
+
+    def test_fourier_names_are_listed_and_shared(self):
+        assert set(PUBLIC_NAMES) <= set(dir(hydramaps))
+        assert hydramaps.charfn_solve is hydramaps.fourier.charfn_solve
+
+    def test_unknown_attribute(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            getattr(hydramaps, "no_such_name")
+
+
+# ---------------------------------------------------------------------------
+# fresh processes: numpy loads only for the Fourier commands
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+# runs `hydra argv` as the installed script does, then reports on stderr
+# whether numpy was loaded
+ENTRY = """import sys
+from hydramaps.cli import console_entry
+try:
+    console_entry()
+finally:
+    print("numpy" in sys.modules, file=sys.stderr)
+"""
+
+
+def run_fresh(code, argv=()):
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+
+
+class TestFreshProcess:
+    def test_import_leaves_numpy_out(self):
+        proc = run_fresh("import sys, hydramaps, hydramaps.cli\n"
+                         "print('numpy' in sys.modules)")
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+    def test_cycles_leaves_numpy_out(self, t3_path):
+        proc = run_fresh(ENTRY, ["cycles", "--map", t3_path, "--range=-20:20"])
+        assert (proc.returncode, proc.stderr) == (0, "False\n")
+        assert json.loads(proc.stdout)["command"] == "cycles"
+
+    @pytest.mark.parametrize("argv", [
+        ["charfn", "--place", "3", "--level", "3"],
+        ["dist", "--place", "3", "--exponent", "2"],
+    ])
+    def test_fourier_commands_match_in_process(self, capsys, t3_path, argv):
+        argv = argv + ["--map", t3_path]
+        code, out, _ = run(capsys, argv)
+        proc = run_fresh(ENTRY, argv)
+        assert (proc.returncode, proc.stderr) == (code, "True\n")
+        assert proc.stdout == out

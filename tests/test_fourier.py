@@ -25,6 +25,7 @@ from hydramaps import (
     charfn_estimate,
     charfn_solve,
     charfn_table_estimate,
+    errors,
     fourier_sb,
     frequencies_through_level,
     haar_integral_riemann,
@@ -234,6 +235,15 @@ class TestFourier:
         with pytest.raises(ValueError):
             inverse_fourier_sb({t: 1.0}, 2, level=1)
 
+    def test_inverse_coefficient_cap(self, monkeypatch):
+        # with the cap lowered to 2**10, a missing guard would allocate
+        # only 2**11 coefficients before the test fails
+        monkeypatch.setattr(errors, "ENUMERATION_CAP", 2 ** 10)
+        with pytest.raises(ResourceLimitError):
+            inverse_fourier_sb({Frequency(2, F(1, 2 ** 11)): 1.0}, 2)
+        with pytest.raises(ResourceLimitError):
+            inverse_fourier_sb({Frequency(2, F(1, 2)): 1.0}, 2, level=11)
+
 
 # ---------------------------------------------------------------------------
 # character orthogonality
@@ -344,6 +354,14 @@ class TestCharFnEstimate:
         assert table.values[F(0)] == 1 + 0j
         assert table.values[F(1, 2)] == pytest.approx(
             table.values[F(-1, 2)].conjugate(), abs=1e-12)
+
+    def test_archimedean_grid_equals_point_estimates(self, t3):
+        # one shared enumeration sums each point's values in the same
+        # order as a lone estimate, so the floats agree exactly
+        grid = [F(1, 3), F(-2, 5), F(7, 4)]
+        table = charfn_table_estimate(t3, INF, depth=8, grid=grid)
+        for t in grid:
+            assert table.values[t] == charfn_estimate(t3, INF, t, depth=8)
 
 
 # ---------------------------------------------------------------------------
