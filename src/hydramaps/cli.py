@@ -47,7 +47,8 @@ from .numen import (
     numen_of_rational,
     numen_of_trunc,
 )
-from .dynamics import correspondence_roundtrip, find_cycles, orbit
+from .dynamics import (DEFAULT_ESCAPE_BOUND, DEFAULT_MAX_STEPS,
+                       correspondence_roundtrip, find_cycles, orbit)
 
 # fourier (and numpy with it) is imported inside the two commands that
 # use it, so the other five start without it
@@ -323,14 +324,14 @@ def _cmd_numen(args) -> dict:
 
 
 def _cmd_charfn(args) -> dict:
-    from .fourier import charfn_solve, charfn_table_estimate
-
     H = _load_map(args.map)
     place = _parse_place(args.place)
     if not place.is_finite:
         raise MapSpecError(
             "charfn tables need a finite place; archimedean estimates "
             "are available through the library on an explicit grid")
+    from .fourier import charfn_solve, charfn_table_estimate
+
     if args.method == "solve":
         table = charfn_solve(H, place.prime, args.level)
     else:
@@ -350,12 +351,12 @@ def _cmd_charfn(args) -> dict:
 
 
 def _cmd_dist(args) -> dict:
-    from .fourier import prob_empirical, prob_inversion, total_variation
-
     H = _load_map(args.map)
     place = _parse_place(args.place)
     if not place.is_finite:
         raise MapSpecError("dist needs a finite place")
+    from .fourier import prob_empirical, prob_inversion, total_variation
+
     q = place.prime
     if args.method == "inversion":
         dist = prob_inversion(H, q, args.exponent)
@@ -426,8 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="path to a JSON map spec")
 
     def add_orbit_controls(p):
-        p.add_argument("--max-steps", type=int, default=10_000)
-        p.add_argument("--escape", type=int, default=10 ** 18,
+        p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
+        p.add_argument("--escape", type=int, default=DEFAULT_ESCAPE_BOUND,
                        help="declare escape when |z| exceeds this bound")
 
     p = sub.add_parser("analyze", help="classification and convergence "

@@ -28,9 +28,9 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .exact import Place, abs_at_place
-from .hydra import (DigitString, HydraMap, _word_form, classify,
-                    compose_branches, digit_value)
+from .exact import Place, _digits, abs_at_place
+from .hydra import (DigitString, HydraMap, _word_form, _word_tables,
+                    classify, compose_branches, digit_value)
 from .numen import find_contracting_place, numen_of_rational
 
 STATUS_PERIODIC = "periodic"
@@ -39,8 +39,6 @@ STATUS_ESCAPED = "escaped"
 
 DEFAULT_MAX_STEPS = 10_000
 DEFAULT_ESCAPE_BOUND = 10 ** 18
-# reverse_scan's suffix table holds at most this many words
-SCAN_BLOCK = 2 ** 10
 
 
 def _canonical_rotation(cycle: tuple[int, ...]) -> tuple[int, ...]:
@@ -280,14 +278,14 @@ def reverse_scan(H: HydraMap, max_length: int) -> ScanReport:
     x -> (A*x + B) / D**n, so it has the unique fixed point
     B / (D**n - A) unless A = D**n (skipped), and an integer one exactly
     when D**n - A divides B: the cycle criterion of Boehm and Sontacchi.
-    Level n is scanned as the words u*v of a prefix u of length n - k
-    and a suffix v from a table of all p**k words of length k, with
-    p**k <= SCAN_BLOCK; the word's form is A = A_u*A_v and
-    B = A_u*B_v + D**k*B_u.  The table is built once, and one block (one
-    prefix against the table) is held at a time.  Within a level the
-    words run in descending order of their entries, so each value's
-    witness is its lexicographically largest shortest word.  Refuses
-    more than ENUMERATION_CAP words in all.
+    Level n joins each outer half u of length n - k to every inner half
+    v of length k = ceil(n/2), both read from hydra._word_tables, in one
+    block per outer word; the word's form is A = A_u*A_v and
+    B = A_u*B_v + D**k*B_u.  Within a level the words run in descending
+    order of their entries, so each value's witness is its
+    lexicographically largest shortest word; its entries are decoded
+    from the word's index only when it matches.  Refuses more than
+    ENUMERATION_CAP words in all.
     """
     if max_length < 1:
         raise ValueError(f"need max_length >= 1, got {max_length}")
@@ -297,39 +295,30 @@ def reverse_scan(H: HydraMap, max_length: int) -> ScanReport:
         raise ResourceLimitError(
             f"a length-{max_length} scan has {words} words, above the "
             f"{ENUMERATION_CAP} cap")
-    steps = H._steps
-    D = steps[0][2]
-    K = 1
-    while K < max_length and p ** (K + 1) <= SCAN_BLOCK:
-        K += 1
-    # tables[k] holds every word of length k <= K, in descending order,
-    # as (entries, A, B); appending digit j inside gives (A*a_j, A*b_j + D*B)
-    tables = [[((), 1, 0)]]
-    digits = list(enumerate(steps))[::-1]
-    for _ in range(K):
-        tables.append([(e + (j,), A * a, A * b + D * B)
-                       for e, A, B in tables[-1] for j, (a, b, _) in digits])
+    D = H._steps[0][2]
+    tables = _word_tables(H, (max_length + 1) // 2)
 
     integers: dict[int, DigitString] = {}
     skipped = 0
     for n in range(1, max_length + 1):
-        k = min(n, K)
-        table = tables[k]
-        suffixes = [(A, B) for _, A, B in table]
-        Dn, Dk = D ** n, D ** k
-        for prefix, Au, Bu in _words_of_length(tables, D, n - k):
+        k = (n + 1) // 2
+        inner = tables[k]
+        Dn, Dk, pk = D ** n, D ** k, p ** k
+        for i, (Au, Bu) in enumerate(tables[n - k]):
             c = Dk * Bu
             rems = [(Au * B + c) % N if (N := Dn - Au * A) else None
-                    for A, B in suffixes]
+                    for A, B in inner]
             skipped += rems.count(None)
             if 0 not in rems:
                 continue
-            for i, r in enumerate(rems):
+            for j, r in enumerate(rems):
                 if r == 0:
-                    suffix, A, B = table[i]
+                    A, B = inner[j]
                     v = (Au * B + c) // (Dn - Au * A)
                     if v not in integers:
-                        integers[v] = DigitString(p, prefix + suffix)
+                        code = _digits(p ** n - 1 - (i * pk + j), p)
+                        entries = code + [0] * (n - len(code))
+                        integers[v] = DigitString(p, tuple(entries[::-1]))
     return ScanReport(
         max_length=max_length,
         words_scanned=words,
@@ -337,20 +326,6 @@ def reverse_scan(H: HydraMap, max_length: int) -> ScanReport:
         integer_values=tuple(sorted(integers)),
         witness_words=dict(sorted(integers.items())),
     )
-
-
-def _words_of_length(tables: list, D: int, m: int):
-    """Every word of length m in descending order, as (entries, A, B),
-    joined from the length-K table words (K = len(tables) - 1)."""
-    K = len(tables) - 1
-    if m <= K:
-        yield from tables[m]
-        return
-    DK = D ** K
-    for prefix, Au, Bu in _words_of_length(tables, D, m - K):
-        c = DK * Bu
-        for suffix, A, B in tables[K]:
-            yield prefix + suffix, Au * A, Au * B + c
 
 
 @dataclass(frozen=True)

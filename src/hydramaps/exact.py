@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
-from .errors import MapSpecError, NotPIntegralError, _guard_size
+from .errors import (ENUMERATION_CAP, MapSpecError, NotPIntegralError,
+                     ResourceLimitError, _guard_size)
 
 RationalLike = Union[int, Fraction]
 
@@ -318,6 +319,8 @@ def digit_expansion(r: RationalLike, p: int) -> RationalDigitExpansion:
     With r = a / b and b fixed, the shift z -> (z - [z]_p) / p sends a to
     (a - d*b) / p, d = a * b**-1 mod p.  States biject with digit tails,
     so the first repeat gives the minimal period, then preperiod.
+    Refuses an expansion with no repeat in its first ENUMERATION_CAP
+    digits.
     """
     if p < 2:
         raise ValueError(f"need base >= 2, got {p}")
@@ -329,6 +332,10 @@ def digit_expansion(r: RationalLike, p: int) -> RationalDigitExpansion:
     seen: dict[int, int] = {}
     digits: list[int] = []
     while a not in seen:
+        if len(digits) == ENUMERATION_CAP:
+            raise ResourceLimitError(
+                f"the base-{p} expansion of {r} does not repeat within "
+                f"the {ENUMERATION_CAP}-digit cap")
         seen[a] = len(digits)
         d = a * inverse % p
         digits.append(d)

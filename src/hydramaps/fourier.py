@@ -20,7 +20,6 @@ kept independent so each can check the other.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -48,7 +47,7 @@ from .exact import (
     unit_root,
     valuation,
 )
-from .hydra import HydraMap, _word_image
+from .hydra import HydraMap, _word_tables
 from .numen import base_value, convergence_report
 
 # the level sweeps stop once the self-similarity defect is this small
@@ -324,11 +323,18 @@ def _lattice_exponent(H: HydraMap, q: int) -> int:
 
 def _series_values(H: HydraMap, depth: int) -> Iterable[Fraction]:
     """Exact numen values of all modulus**depth truncations, their digit
-    words in descending order, each word's fold applied to X(0)."""
+    words in descending order (hydra._word_tables, halves of length
+    depth - k and k = ceil(depth/2) joined), each applied to X(0)."""
     anchor = base_value(H)
-    digits = range(H.modulus - 1, -1, -1)
-    for word in itertools.product(digits, repeat=depth):
-        yield _word_image(H, word, anchor)
+    x, y = anchor.numerator, anchor.denominator
+    k = (depth + 1) // 2
+    tables = _word_tables(H, k)
+    D = H._steps[0][2]
+    Dk, Dny = D ** k, D ** depth * y
+    for Au, Bu in tables[depth - k]:
+        c = Dk * Bu
+        for A, B in tables[k]:
+            yield Fraction(Au * A * x + (Au * B + c) * y, Dny)
 
 
 def _scaled_residue_histogram(

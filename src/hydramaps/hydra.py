@@ -290,6 +290,23 @@ def _word_form(H: HydraMap, digits) -> tuple[int, int, int]:
     return A, B, D ** len(digits)
 
 
+def _word_tables(H: HydraMap, n: int) -> list[list[tuple[int, int]]]:
+    """tables[m] holds the (A, B) of every length-m word, m <= n, in
+    descending order of entries (entry 0 most significant), so index i
+    is the word whose base-p code is p**m - 1 - i.  Each length extends
+    the last on the inside, _word_form's step.  An outer word u of
+    length m and an inner v of length k join to u*v, whose form is
+    (A_u*A_v, A_u*B_v + D**k*B_u) and whose index is i_u*p**k + i_v."""
+    steps = H._steps
+    D = steps[0][2]
+    digits = [(a, b) for a, b, _ in reversed(steps)]
+    tables = [[(1, 0)]]
+    for _ in range(n):
+        tables.append([(A * a, A * b + D * B)
+                       for A, B in tables[-1] for a, b in digits])
+    return tables
+
+
 def _word_image(H: HydraMap, digits, x: Fraction) -> Fraction:
     """The word's composite applied to x, as one Fraction."""
     A, B, Dn = _word_form(H, digits)

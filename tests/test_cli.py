@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import hydramaps
-from hydramaps import MapSpecError, cli, fourier
+from hydramaps import MapSpecError, cli, exact, fourier, numen
 from hydramaps.cli import format_report, main, parse_map_spec
 
 
@@ -240,6 +240,19 @@ class TestNumen:
         code, _, _ = run(capsys, ["numen", "--map", t3_path,
                                   "--at-rational", "1/2"])
         assert code == 3
+
+
+@pytest.mark.parametrize("module,cap", [(exact, "ENUMERATION_CAP"),
+                                        (numen, "_PERIOD_CAP")])
+def test_long_period_exit(capsys, monkeypatch, t3_path, module, cap):
+    # -1/19 has period 18, above either cap lowered to 16
+    monkeypatch.setattr(module, cap, 16)
+    code, out, err = run(capsys, ["numen", "--map", t3_path,
+                                  "--at-rational=-1/19"])
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +566,16 @@ class TestFreshProcess:
         proc = run_fresh(ENTRY, ["cycles", "--map", t3_path, "--range=-20:20"])
         assert (proc.returncode, proc.stderr) == (0, "False\n")
         assert json.loads(proc.stdout)["command"] == "cycles"
+
+    @pytest.mark.parametrize("argv", [
+        ["charfn", "--place", "inf", "--level", "3"],
+        ["dist", "--place", "inf", "--exponent", "2"],
+    ])
+    def test_archimedean_refusal_leaves_numpy_out(self, t3_path, argv):
+        proc = run_fresh(ENTRY, argv + ["--map", t3_path])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.splitlines()[-1] == "False"
 
     @pytest.mark.parametrize("argv", [
         ["charfn", "--place", "3", "--level", "3"],

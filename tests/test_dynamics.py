@@ -166,7 +166,8 @@ class TestReverseScan:
             set(T3_CYCLES_FLAT))
 
     def test_witness_words_evaluate_back(self, t3):
-        # length 16 joins prefixes to the length-10 suffix table
+        # each witness is decoded from its index in the join of two half
+        # words; at length 16 both halves have length 8
         for length in (10, 16):
             report = reverse_scan(t3, length)
             assert tuple(report.witness_words) == report.integer_values

@@ -30,7 +30,8 @@ from hydramaps import (
     unit_root,
     valuation,
 )
-from hydramaps.errors import MapSpecError
+from hydramaps import exact
+from hydramaps.errors import MapSpecError, ResourceLimitError
 
 
 def _random_rational(rng, span=400):
@@ -177,6 +178,15 @@ def test_digit_expansion_rejects_non_integral():
         digit_expansion(F(1, 3), 6)
     with pytest.raises(NotPIntegralError):
         digit_expansion(F(-5, 12), 6)
+
+
+def test_digit_expansion_cap(monkeypatch):
+    # with the cap lowered to 18 digits, -1/19 (period 18) still fits and
+    # 1/19 (one more digit before the period) is refused
+    monkeypatch.setattr(exact, "ENUMERATION_CAP", 18)
+    assert len(digit_expansion(F(-1, 19), 2).period) == 18
+    with pytest.raises(ResourceLimitError, match="18-digit cap"):
+        digit_expansion(F(1, 19), 2)
 
 
 def test_digit_expansion_digits_match_residues():

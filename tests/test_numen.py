@@ -15,6 +15,7 @@ from hydramaps import (
     PAdicTrunc,
     Place,
     PreconditionError,
+    ResourceLimitError,
     base_value,
     build_hydra,
     compose_branches,
@@ -33,6 +34,7 @@ from hydramaps import (
     residue_mod,
     valuation,
 )
+from hydramaps import numen
 
 INF = Place.archimedean()
 P2, P3, P5 = Place.finite(2), Place.finite(3), Place.finite(5)
@@ -248,6 +250,15 @@ class TestRational:
         H = build_hydra(2, [(2, 0), (F(1, 2), F(1, 2))])
         with pytest.raises(PreconditionError):
             numen_of_rational(H, F(-2, 3))
+
+    def test_period_cap(self, t3, monkeypatch):
+        # with the cap lowered to 2**4 digits, period 8 folds and period
+        # 18 is refused
+        value = numen_of_rational(t3, F(-1, 17))
+        monkeypatch.setattr(numen, "_PERIOD_CAP", 2 ** 4)
+        assert numen_of_rational(t3, F(-1, 17)) == value
+        with pytest.raises(ResourceLimitError, match="18 digits"):
+            numen_of_rational(t3, F(-1, 19))
 
     def test_shift_identity(self, t3, t5):
         # X(z) = H_{d_0}(X((z - d_0)/p)) with d_0 the lowest digit of z

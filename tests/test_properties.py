@@ -12,9 +12,9 @@ the same examples.
 """
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,7 +43,7 @@ from hydramaps import (
     prob_inversion,
     reverse_scan,
 )
-from hydramaps import dynamics
+from hydramaps.fourier import _series_values
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None,
                     database=None)
@@ -145,8 +145,9 @@ def _shared_iterate_blocks(H, lo, hi, max_steps, escape_bound):
 
 SCAN = settings(derandomize=True, max_examples=40, deadline=None,
                 database=None)
-# longest drawn scan per modulus: past the block of 2**10 words, so
-# every modulus also joins prefixes to its suffix table
+# longest drawn scan per modulus; every drawn length scans both odd and
+# even levels, so both shapes of the half split (outer half one shorter
+# than the inner, or equal) are joined
 SCAN_LENGTHS = {2: 13, 3: 8, 5: 5}
 
 
@@ -198,18 +199,14 @@ def test_scan_is_the_fraction_fold(scan):
     p, specs, length = scan
     H = build_hydra(p, specs)
     scanned, skipped, witnesses = _scan_by_fractions(specs, length)
-    # the default block, and blocks of p**2 words, whose prefixes are
-    # themselves joined from table words past length 4
-    with mock.patch.object(dynamics, "SCAN_BLOCK", p * p):
-        small = reverse_scan(H, length)
-    for report in (reverse_scan(H, length), small):
-        # ScanReport equality ignores witness_words, so each field is
-        # compared on its own
-        assert report.words_scanned == scanned
-        assert report.skipped == skipped
-        assert report.integer_values == tuple(sorted(witnesses))
-        assert {v: w.entries for v, w in report.witness_words.items()} \
-            == witnesses
+    report = reverse_scan(H, length)
+    # ScanReport equality ignores witness_words, so each field is
+    # compared on its own
+    assert report.words_scanned == scanned
+    assert report.skipped == skipped
+    assert report.integer_values == tuple(sorted(witnesses))
+    assert {v: w.entries for v, w in report.witness_words.items()} \
+        == witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +360,25 @@ def test_numen_recursion_and_truncations(H, ns):
             z = PAdicTrunc.from_int(n, p, depth)
             assert z.digits == tuple(digits) + (0,) * (depth - len(digits))
             assert numen_of_trunc(H, z) == x
+
+
+@st.composite
+def maps_and_depths(draw):
+    H = draw(proper_maps())
+    # at most 3**7 words, so p = 5 stops at depth 4
+    return H, draw(st.integers(0, 7).filter(lambda d: H.modulus ** d <= 3 ** 7))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(maps_and_depths())
+def test_series_values_are_the_words_in_descending_order(case):
+    """The archimedean sums add the values in this order, so it is part
+    of their floats."""
+    H, depth = case
+    digits = range(H.modulus - 1, -1, -1)
+    expected = [_fold(H, word, _anchor(H))
+                for word in itertools.product(digits, repeat=depth)]
+    assert list(_series_values(H, depth)) == expected
 
 
 @st.composite
