@@ -279,13 +279,20 @@ def reverse_scan(H: HydraMap, max_length: int) -> ScanReport:
     B / (D**n - A) unless A = D**n (skipped), and an integer one exactly
     when D**n - A divides B: the cycle criterion of Boehm and Sontacchi.
     Level n joins each outer half u of length n - k to every inner half
-    v of length k = ceil(n/2), both read from hydra._word_tables, in one
-    block per outer word; the word's form is A = A_u*A_v and
-    B = A_u*B_v + D**k*B_u.  Within a level the words run in descending
-    order of their entries, so each value's witness is its
-    lexicographically largest shortest word; its entries are decoded
-    from the word's index only when it matches.  Refuses more than
-    ENUMERATION_CAP words in all.
+    v of length k = ceil(n/2), both read from hydra._word_tables; the
+    word's form is A = A_u*A_v and B = A_u*B_v + D**k*B_u.  A depends
+    only on which scales the digits carry, so each half table is
+    grouped by its A, and each pair of groups (A_u, A_v) is one
+    congruence: with N = D**n - A_u*A_v, g = gcd(A_u, N) and
+    M = |N|/g, an outer half matches only when g divides D**k*B_u, and
+    then exactly the inner halves with
+    B_v = -(D**k*B_u/g) * (A_u/g)**-1 (mod M).  The inner group is
+    bucketed by B_v mod M, so each outer half costs one lookup and no
+    word is tested on its own.  The words of a level are indexed in
+    descending order of their entries, and each new value keeps its
+    smallest index, so its witness is its lexicographically largest
+    shortest word; only the witnesses' entries are decoded.  Refuses
+    more than ENUMERATION_CAP words in all.
     """
     if max_length < 1:
         raise ValueError(f"need max_length >= 1, got {max_length}")
@@ -296,29 +303,45 @@ def reverse_scan(H: HydraMap, max_length: int) -> ScanReport:
             f"a length-{max_length} scan has {words} words, above the "
             f"{ENUMERATION_CAP} cap")
     D = H._steps[0][2]
-    tables = _word_tables(H, (max_length + 1) // 2)
+    groups = []                 # groups[m]: A -> [(index, B)] of length m
+    for table in _word_tables(H, (max_length + 1) // 2):
+        by_scale: dict[int, list[tuple[int, int]]] = {}
+        for i, (A, B) in enumerate(table):
+            by_scale.setdefault(A, []).append((i, B))
+        groups.append(by_scale)
 
     integers: dict[int, DigitString] = {}
     skipped = 0
     for n in range(1, max_length + 1):
         k = (n + 1) // 2
-        inner = tables[k]
         Dn, Dk, pk = D ** n, D ** k, p ** k
-        for i, (Au, Bu) in enumerate(tables[n - k]):
-            c = Dk * Bu
-            rems = [(Au * B + c) % N if (N := Dn - Au * A) else None
-                    for A, B in inner]
-            skipped += rems.count(None)
-            if 0 not in rems:
-                continue
-            for j, r in enumerate(rems):
-                if r == 0:
-                    A, B = inner[j]
-                    v = (Au * B + c) // (Dn - Au * A)
-                    if v not in integers:
-                        code = _digits(p ** n - 1 - (i * pk + j), p)
-                        entries = code + [0] * (n - len(code))
-                        integers[v] = DigitString(p, tuple(entries[::-1]))
+        found: dict[int, int] = {}      # new value -> its smallest index
+        for Au, outer in groups[n - k].items():
+            prefixes = [(i, Dk * Bu) for i, Bu in outer]
+            for Av, inner in groups[k].items():
+                N = Dn - Au * Av
+                if not N:
+                    skipped += len(prefixes) * len(inner)
+                    continue
+                g = math.gcd(Au, N)
+                M = abs(N) // g
+                inverse = pow(Au // g, -1, M)
+                buckets: dict[int, list[tuple[int, int]]] = {}
+                for j, Bv in inner:
+                    buckets.setdefault(Bv % M, []).append((j, Bv))
+                for i, c in prefixes:
+                    q, r = divmod(c, g)
+                    if r:
+                        continue
+                    for j, Bv in buckets.get(-q * inverse % M, ()):
+                        v = (Au * Bv + c) // N
+                        index = i * pk + j
+                        if v not in integers and index < found.get(v, words):
+                            found[v] = index
+        for v, index in found.items():
+            code = _digits(p ** n - 1 - index, p)
+            entries = code + [0] * (n - len(code))
+            integers[v] = DigitString(p, tuple(entries[::-1]))
     return ScanReport(
         max_length=max_length,
         words_scanned=words,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
@@ -26,11 +27,14 @@ RationalLike = Union[int, Fraction]
 # ---------------------------------------------------------------------------
 # small number-theory helpers
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the least strong pseudoprime to all of _SMALL_PRIMES
+_PRIME_PROOF_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for every n below 3.3e24."""
+    """Deterministic Miller-Rabin; exact for every n below
+    _PRIME_PROOF_BOUND, and only 'probable' from it on."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -160,7 +164,13 @@ class Place:
     prime: int | None
 
     def __post_init__(self):
-        if self.prime is not None and not is_prime(self.prime):
+        if self.prime is None:
+            return
+        if self.prime >= _PRIME_PROOF_BOUND:
+            raise ValueError(
+                f"cannot prove {self.prime} prime: a finite place must be "
+                f"below {_PRIME_PROOF_BOUND}")
+        if not is_prime(self.prime):
             raise ValueError(f"finite place needs a prime, got {self.prime}")
 
     @classmethod
@@ -512,10 +522,16 @@ def crt_split(x: PAdicTrunc, ell: int) -> PAdicTrunc:
 # ---------------------------------------------------------------------------
 # serialization
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse 'a/b' or 'a' (ASCII or unicode minus) into a Fraction."""
+    """Parse 'a/b' or 'a' (ASCII or unicode minus) into a Fraction.
+    Decimal and exponent forms are refused: their exponent is unbounded."""
     cleaned = text.strip().replace("−", "-")
     try:
+        if not _RATIONAL.fullmatch(cleaned):
+            raise ValueError("expected a/b or a in decimal digits")
         return Fraction(cleaned)
     except (ValueError, ZeroDivisionError) as exc:
         raise MapSpecError(f"invalid rational {text!r}: {exc}") from None

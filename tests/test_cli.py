@@ -130,6 +130,14 @@ class TestAnalyze:
         assert code == 2
         assert "error" in err
 
+    def test_unprovable_place(self, capsys, t3_path):
+        # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin on the
+        # bases 2..37
+        code, out, err = run(capsys, ["analyze", "--map", t3_path,
+                                      "--places", "318665857834031151167461"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
     def test_missing_map_file(self, capsys):
         code, _, err = run(capsys, ["analyze", "--map", "/no/such/file"])
         assert code == 2
@@ -554,6 +562,38 @@ def run_fresh(code, argv=()):
     return subprocess.run([sys.executable, "-c", code, *argv],
                           capture_output=True, text=True, timeout=60,
                           env=dict(os.environ, PYTHONPATH=SRC))
+
+
+# prints main(argv)'s exit code and its own time in seconds
+TIMED = """import sys, time
+from hydramaps.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(code, time.perf_counter() - start)
+"""
+
+
+@pytest.mark.parametrize("argv,scale", [
+    (["numen", "--at-rational", "1e-100000000"], "1/2"),
+    (["analyze"], "1e-100000000"),
+])
+def test_exponent_form_is_refused_at_once(tmp_path, argv, scale):
+    # Fraction reads 1e-100000000 by building 10**100000000, which takes
+    # minutes; a fresh process keeps such a regression to its timeout
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({
+        "p": 2,
+        "branches": [{"r": scale, "c": "0"}, {"r": "3/2", "c": "1/2"}],
+    }))
+    proc = subprocess.run(
+        [sys.executable, "-c", TIMED, *argv, "--map", str(path)],
+        capture_output=True, text=True, timeout=10,
+        env=dict(os.environ, PYTHONPATH=SRC))
+    code, seconds = proc.stdout.split()
+    assert code == "2"
+    assert float(seconds) < 0.5
+    assert proc.stderr.startswith("error: ")
+    assert "1e-100000000" in proc.stderr
 
 
 class TestFreshProcess:

@@ -195,6 +195,29 @@ class TestReverseScan:
         assert report.skipped == 2  # the words (0, 1) and (1, 0)
         assert report.integer_values == (0, 1)
 
+    def test_witness_is_the_largest_shortest_word(self):
+        # -3 and 4 each have two length-5 words on this map, so the join
+        # must keep the lexicographically largest of each pair
+        specs = [(F(2), F(0)), (F(1, 2), F(1, 2))]
+        report = reverse_scan(build_hydra(2, specs), 8)
+        assert report.witness_words[-3].entries == (0, 1, 0, 0, 1)
+        assert report.witness_words[4].entries == (1, 0, 0, 1, 1)
+        # the same rule by a Fraction fold of every word up to length 5,
+        # entry 0 outermost
+        fixing = {-3: [], 4: []}
+        words = [()]
+        for _ in range(5):
+            words = [w + (j,) for w in words for j in range(2)]
+            for word in words:
+                scale, shift = F(1), F(0)
+                for j in word:
+                    r, c = specs[j]
+                    scale, shift = scale * r, scale * c + shift
+                if scale != 1 and shift / (1 - scale) in fixing:
+                    fixing[shift / (1 - scale)].append(word)
+        assert fixing == {-3: [(0, 0, 1, 1, 0), (0, 1, 0, 0, 1)],
+                          4: [(0, 1, 1, 0, 1), (1, 0, 0, 1, 1)]}
+
     def test_length_must_be_positive(self, t3):
         with pytest.raises(ValueError):
             reverse_scan(t3, 0)

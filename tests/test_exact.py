@@ -41,6 +41,27 @@ def _random_rational(rng, span=400):
 
 
 # ---------------------------------------------------------------------------
+# primality
+
+# the least strong pseudoprimes to the first 12 and 13 prime bases
+PSI_12 = 399165290221 * 798330580441
+PSI_13 = 1287836182261 * 2575672364521
+
+
+def test_is_prime_at_the_pseudoprimes():
+    assert PSI_12 == 318665857834031151167461
+    assert not exact.is_prime(PSI_12)
+    assert exact.is_prime(798330580441)
+    with pytest.raises(ValueError, match="prime"):
+        Place.finite(PSI_12)
+    # Miller-Rabin on the 13 bases cannot tell psi_13 from a prime, so
+    # no place is built from it on
+    assert PSI_13 == 3317044064679887385961981
+    with pytest.raises(ValueError, match="cannot prove"):
+        Place.finite(PSI_13)
+
+
+# ---------------------------------------------------------------------------
 # valuations
 
 def test_valuation_examples():
@@ -393,8 +414,15 @@ def test_rational_strings_roundtrip():
         assert format_rational(parse_rational(text)) == \
             format_rational(F(text))
     assert parse_rational("6/4") == F(3, 2)
-    with pytest.raises(MapSpecError):
-        parse_rational("three halves")
+    assert parse_rational("+3/4") == F(3, 4)
+    assert parse_rational("\u22123/4") == F(-3, 4)
+    assert parse_rational(" 17 ") == 17
+    # only a/b and a: decimal and exponent forms are refused before any
+    # power of ten is built
+    for text in ("three halves", "0.5", "1e3", "1e-3", "1_000",
+                 "3 / 4", "1/-2", "3/0"):
+        with pytest.raises(MapSpecError):
+            parse_rational(text)
 
 
 def test_trunc_roundtrip():
