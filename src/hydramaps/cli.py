@@ -4,11 +4,8 @@ Commands: analyze, orbit, cycles, numen, charfn, dist, correspond.
 Reports are JSON objects with a schema_version, an echo of the inputs,
 and a command-specific results payload; numeric payloads are emitted as
 strings so exact rationals survive the round trip.  Distributions and
-characteristic-function tables can also be emitted as CSV.
-
-Exit codes: 0 success, 2 malformed input or map spec, 3 violated
-mathematical precondition, 4 resource guard tripped, 5 a numerical
-check missed its tolerance.
+characteristic-function tables can also be emitted as CSV.  A failure
+prints one error: line and exits with its error class's exit_code.
 """
 
 from __future__ import annotations
@@ -18,21 +15,10 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
+from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import (
-    EXIT_NUMERICAL,
-    EXIT_OK,
-    EXIT_PRECONDITION,
-    EXIT_RESOURCE,
-    EXIT_SPEC_ERROR,
-    MapSpecError,
-    NotPIntegralError,
-    NumericalCheckError,
-    PreconditionError,
-    ResourceLimitError,
-)
+from .errors import EXIT_OK, EXIT_SPEC_ERROR, HydraError, MapSpecError
 from .exact import (
     PAdicTrunc,
     Place,
@@ -118,13 +104,6 @@ def _load_map(path: str) -> HydraMap:
         raise MapSpecError(f"cannot read map spec {path}: {exc}") from exc
 
 
-def _parse_place(text: str) -> Place:
-    try:
-        return Place.parse(text)
-    except ValueError as exc:
-        raise MapSpecError(str(exc)) from exc
-
-
 def _parse_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition(":")
     if not sep:
@@ -141,12 +120,12 @@ def _parse_range(text: str) -> tuple[int, int]:
 def _default_places(H: HydraMap) -> list[Place]:
     """Places worth reporting when none are requested: every prime
     dividing the modulus or a branch multiplier, then the archimedean
-    place."""
+    place.  Each den(r_j) divides the modulus, so only the numerators
+    are factored."""
     primes: set[int] = set(prime_factors(H.modulus))
     for b in H.branches:
-        for part in (abs(b.scale.numerator), b.scale.denominator):
-            if part >= 2:
-                primes.update(prime_factors(part))
+        if abs(b.scale.numerator) >= 2:
+            primes.update(prime_factors(abs(b.scale.numerator)))
     places = [Place.finite(q) for q in sorted(primes)]
     places.append(Place.archimedean())
     return places
@@ -171,15 +150,11 @@ def _string_payload(s: DigitString) -> dict:
 
 def _table_rows(table: CharFnTable) -> list[dict]:
     rows = []
-    for t in sorted(table.values, key=lambda t: _key_value(t)):
+    for t in sorted(table.values, key=lambda t: t.value):
         val = table.values[t]
-        rows.append({"t": _s(_key_value(t)),
+        rows.append({"t": _s(t.value),
                      "re": _s(val.real), "im": _s(val.imag)})
     return rows
-
-
-def _key_value(key) -> Fraction:
-    return key.value if hasattr(key, "value") else Fraction(key)
 
 
 def _dist_rows(dist: Distribution) -> list[dict]:
@@ -203,39 +178,30 @@ def format_report(report: dict, fmt: str) -> str:
         return json.dumps(report, sort_keys=True, indent=2)
     if fmt == "csv":
         results = report["results"]
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
         if "probabilities" in results:
-            writer.writerow(["w", "probability"])
-            for row in results["probabilities"]:
-                writer.writerow([row["w"], row["p"]])
+            header, rows = ["w", "probability"], map(
+                itemgetter("w", "p"), results["probabilities"])
         elif "table" in results:
-            writer.writerow(["t", "re", "im"])
-            for row in results["table"]:
-                writer.writerow([row["t"], row["re"], row["im"]])
+            header, rows = ["t", "re", "im"], map(
+                itemgetter("t", "re", "im"), results["table"])
         else:
             raise MapSpecError(
                 f"csv output is not defined for {report['command']} reports")
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
         return out.getvalue()
     raise MapSpecError(f"unknown format {fmt!r}")
 
 
-def _report(command: str, inputs: dict, results: dict) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-    }
-
-
 # ---------------------------------------------------------------------------
-# subcommand implementations
+# subcommand implementations: each takes the loaded map and the parsed
+# args and returns its results payload
 
-def _cmd_analyze(args) -> dict:
-    H = _load_map(args.map)
+def _cmd_analyze(H: HydraMap, args) -> dict:
     if args.places:
-        places = [_parse_place(token)
+        places = [Place.parse(token)
                   for token in args.places.split(",") if token]
     else:
         places = _default_places(H)
@@ -249,7 +215,7 @@ def _cmd_analyze(args) -> dict:
             "guarantee": rep.guarantee,
             "ell_bound": None if rep.ell_bound is None else _s(rep.ell_bound),
         }
-    results = {
+    return {
         "modulus": _s(H.modulus),
         "branches": _branch_payload(H),
         "classification": {
@@ -259,15 +225,12 @@ def _cmd_analyze(args) -> dict:
         },
         "places": place_payload,
     }
-    return _report("analyze", {"map": args.map, "places": args.places},
-                   results)
 
 
-def _cmd_orbit(args) -> dict:
-    H = _load_map(args.map)
+def _cmd_orbit(H: HydraMap, args) -> dict:
     report = orbit(H, args.start, max_steps=args.max_steps,
                    escape_bound=args.escape)
-    results = {
+    return {
         "start": _s(report.start),
         "status": report.status,
         "tail": [_s(z) for z in report.tail],
@@ -275,57 +238,42 @@ def _cmd_orbit(args) -> dict:
         "steps": _s(report.steps),
         "escape_bound": _s(report.escape_bound),
     }
-    return _report("orbit", {"map": args.map, "start": _s(args.start),
-                             "max_steps": _s(args.max_steps),
-                             "escape": _s(args.escape)}, results)
 
 
-def _cmd_cycles(args) -> dict:
-    H = _load_map(args.map)
+def _cmd_cycles(H: HydraMap, args) -> dict:
     lo, hi = _parse_range(args.range)
     cycles = sorted(find_cycles(H, lo, hi, max_steps=args.max_steps,
                                 escape_bound=args.escape))
-    results = {
+    return {
         "range": args.range,
         "count": _s(len(cycles)),
         "cycles": [{"members": [_s(z) for z in cycle],
                     "length": _s(len(cycle))} for cycle in cycles],
     }
-    return _report("cycles", {"map": args.map, "range": args.range,
-                              "max_steps": _s(args.max_steps),
-                              "escape": _s(args.escape)}, results)
 
 
-def _cmd_numen(args) -> dict:
-    H = _load_map(args.map)
+def _cmd_numen(H: HydraMap, args) -> dict:
     if (args.at is None) == (args.at_rational is None):
         raise MapSpecError("numen needs exactly one of --at or --at-rational")
-    inputs = {"map": args.map, "at": None if args.at is None else _s(args.at),
-              "at_rational": args.at_rational, "place": args.place,
-              "depth": None if args.depth is None else _s(args.depth)}
     if args.at is not None:
         if args.at < 0:
             raise MapSpecError(f"--at takes n >= 0, got {args.at}")
         if args.depth is None:
             value = numen_of_nat(H, args.at)
-            results = {"kind": "nat", "n": _s(args.at), "value": _s(value)}
-        else:
-            z = PAdicTrunc.from_int(args.at, H.modulus, args.depth)
-            value = numen_of_trunc(H, z)
-            results = {"kind": "truncation", "n": _s(args.at),
-                       "depth": _s(args.depth), "value": _s(value)}
-        return _report("numen", inputs, results)
+            return {"kind": "nat", "n": _s(args.at), "value": _s(value)}
+        z = PAdicTrunc.from_int(args.at, H.modulus, args.depth)
+        value = numen_of_trunc(H, z)
+        return {"kind": "truncation", "n": _s(args.at),
+                "depth": _s(args.depth), "value": _s(value)}
     z = parse_rational(args.at_rational)
-    place = _parse_place(args.place) if args.place else None
+    place = Place.parse(args.place) if args.place else None
     value = numen_of_rational(H, z, place=place)
-    results = {"kind": "rational", "z": _s(z), "value": _s(value),
-               "place": args.place}
-    return _report("numen", inputs, results)
+    return {"kind": "rational", "z": _s(z), "value": _s(value),
+            "place": args.place}
 
 
-def _cmd_charfn(args) -> dict:
-    H = _load_map(args.map)
-    place = _parse_place(args.place)
+def _cmd_charfn(H: HydraMap, args) -> dict:
+    place = Place.parse(args.place)
     if not place.is_finite:
         raise MapSpecError(
             "charfn tables need a finite place; archimedean estimates "
@@ -338,21 +286,17 @@ def _cmd_charfn(args) -> dict:
         table = charfn_table_estimate(H, place, depth=args.depth,
                                       level=args.level, force=args.force,
                                       allow_large=args.allow_large)
-    results = {
+    return {
         "place": str(place),
         "level": _s(args.level),
         "method": table.method,
         "residual": None if table.residual is None else _s(table.residual),
         "table": _table_rows(table),
     }
-    inputs = {"map": args.map, "place": args.place, "level": _s(args.level),
-              "method": args.method, "depth": _s(args.depth)}
-    return _report("charfn", inputs, results)
 
 
-def _cmd_dist(args) -> dict:
-    H = _load_map(args.map)
-    place = _parse_place(args.place)
+def _cmd_dist(H: HydraMap, args) -> dict:
+    place = Place.parse(args.place)
     if not place.is_finite:
         raise MapSpecError("dist needs a finite place")
     from .fourier import prob_empirical, prob_inversion, total_variation
@@ -369,17 +313,12 @@ def _cmd_dist(args) -> dict:
                                allow_large=args.allow_large)
         results["comparison"] = _dist_payload(other)
         results["total_variation"] = _s(total_variation(dist, other))
-    inputs = {"map": args.map, "place": args.place,
-              "exponent": _s(args.exponent), "method": args.method,
-              "depth": _s(args.depth),
-              "compare_empirical": args.compare_empirical}
-    return _report("dist", inputs, results)
+    return results
 
 
-def _cmd_correspond(args) -> dict:
-    H = _load_map(args.map)
+def _cmd_correspond(H: HydraMap, args) -> dict:
     lo, hi = _parse_range(args.range)
-    place = _parse_place(args.place) if args.place else None
+    place = Place.parse(args.place) if args.place else None
     result = correspondence_roundtrip(
         H, place, lo, hi, scan_length=args.scan_length,
         max_steps=args.max_steps, escape_bound=args.escape)
@@ -388,14 +327,14 @@ def _cmd_correspond(args) -> dict:
         cert_payload.append({
             "cycle": [_s(z) for z in cert.cycle],
             "string": _string_payload(cert.string),
-            "n": None if cert.n is None else _s(cert.n),
-            "z": None if cert.z is None else _s(cert.z),
+            "n": _s(cert.n),
+            "z": _s(cert.z),
             "x_value": None if cert.x_value is None else _s(cert.x_value),
             "place": None if cert.place is None else str(cert.place),
             "verified": cert.verified,
             "note": cert.note,
         })
-    results = {
+    return {
         "range": args.range,
         "certificates": cert_payload,
         "scan": {
@@ -407,9 +346,6 @@ def _cmd_correspond(args) -> dict:
         "scan_consistent": result.scan_consistent,
         "stray_values": [_s(v) for v in result.stray_values],
     }
-    inputs = {"map": args.map, "range": args.range, "place": args.place,
-              "scan_length": _s(args.scan_length)}
-    return _report("correspond", inputs, results)
 
 
 # ---------------------------------------------------------------------------
@@ -437,19 +373,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--places", default=None,
                    help='comma-separated places, e.g. "2,3,inf" '
                         "(default: primes in the map data, plus inf)")
-    p.set_defaults(run=_cmd_analyze)
+    p.set_defaults(run=_cmd_analyze, echo=("map", "places"))
 
     p = sub.add_parser("orbit", help="iterate the map from one start")
     add_map(p)
     p.add_argument("--start", type=int, required=True)
     add_orbit_controls(p)
-    p.set_defaults(run=_cmd_orbit)
+    p.set_defaults(run=_cmd_orbit,
+                   echo=("map", "start", "max_steps", "escape"))
 
     p = sub.add_parser("cycles", help="census of cycles reached from a range")
     add_map(p)
     p.add_argument("--range", required=True, metavar="A:B")
     add_orbit_controls(p)
-    p.set_defaults(run=_cmd_cycles)
+    p.set_defaults(run=_cmd_cycles,
+                   echo=("map", "range", "max_steps", "escape"))
 
     p = sub.add_parser("numen", help="evaluate the numen exactly")
     add_map(p)
@@ -461,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --at: evaluate the depth-D truncation instead")
     p.add_argument("--place", default=None,
                    help="with --at-rational: place for the limit check")
-    p.set_defaults(run=_cmd_numen)
+    p.set_defaults(run=_cmd_numen,
+                   echo=("map", "at", "at_rational", "place", "depth"))
 
     p = sub.add_parser("charfn", help="characteristic function table")
     add_map(p)
@@ -475,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="estimate even without a convergence guarantee")
     p.add_argument("--allow-large", action="store_true")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(run=_cmd_charfn)
+    p.set_defaults(run=_cmd_charfn,
+                   echo=("map", "place", "level", "method", "depth"))
 
     p = sub.add_parser("dist", help="residue distribution of the numen")
     add_map(p)
@@ -491,7 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "total-variation distance")
     p.add_argument("--allow-large", action="store_true")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(run=_cmd_dist)
+    p.set_defaults(run=_cmd_dist,
+                   echo=("map", "place", "exponent", "method", "depth",
+                         "compare_empirical"))
 
     p = sub.add_parser("correspond",
                        help="cycle certificates and reverse scan")
@@ -500,7 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--place", default=None)
     p.add_argument("--scan-length", type=int, default=12)
     add_orbit_controls(p)
-    p.set_defaults(run=_cmd_correspond)
+    p.set_defaults(run=_cmd_correspond,
+                   echo=("map", "range", "place", "scan_length"))
     return parser
 
 
@@ -511,23 +454,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        report = args.run(args)
+        results = args.run(_load_map(args.map), args)
+        inputs = {}
+        for name in args.echo:  # ints as strings; str, bool, None as is
+            value = getattr(args, name)
+            inputs[name] = _s(value) if type(value) is int else value
+        report = {"schema_version": SCHEMA_VERSION, "command": args.command,
+                  "inputs": inputs, "results": results}
         text = format_report(report, getattr(args, "format", "json"))
-    except MapSpecError as exc:
+    except (HydraError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPEC_ERROR
-    except (PreconditionError, NotPIntegralError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except NumericalCheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPEC_ERROR
+        return getattr(exc, "exit_code", EXIT_SPEC_ERROR)
     print(text)
     return EXIT_OK
 

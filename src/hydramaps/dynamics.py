@@ -292,10 +292,17 @@ def reverse_scan(H: HydraMap, max_length: int) -> ScanReport:
     descending order of their entries, and each new value keeps its
     smallest index, so its witness is its lexicographically largest
     shortest word; only the witnesses' entries are decoded.  Refuses
-    more than ENUMERATION_CAP words in all.
+    more than ENUMERATION_CAP words in all.  At p >= 2 a length L has at
+    least 2**(L+1) - 2 words, past the power-of-two cap from
+    L = ENUMERATION_CAP.bit_length() - 1 (24) on, so such a length is
+    refused before the words are counted.
     """
     if max_length < 1:
         raise ValueError(f"need max_length >= 1, got {max_length}")
+    if max_length >= ENUMERATION_CAP.bit_length() - 1:
+        raise ResourceLimitError(
+            f"a length-{max_length} scan has more words than the "
+            f"{ENUMERATION_CAP} cap")
     p = H.modulus
     words = sum(p ** n for n in range(1, max_length + 1))
     if words > ENUMERATION_CAP:

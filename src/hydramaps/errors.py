@@ -6,7 +6,8 @@ invariant), a violated mathematical precondition (an operation was asked
 to run outside the regime where its defining identity holds), a
 resource guard (a computation whose cost would exceed a configured cap),
 or a failed numerical check (a float result missed its stated
-tolerance).  The CLI maps these onto distinct exit codes.
+tolerance).  Each concrete class carries the CLI's exit code for it as
+the class attribute exit_code.
 """
 
 EXIT_OK = 0
@@ -27,10 +28,14 @@ class HydraError(Exception):
 class MapSpecError(HydraError, ValueError):
     """A map specification or serialized value is structurally invalid."""
 
+    exit_code = EXIT_SPEC_ERROR
+
 
 class NotPIntegralError(HydraError, ValueError):
     """A rational with denominator not coprime to p was passed where a
     p-integral value is required."""
+
+    exit_code = EXIT_PRECONDITION
 
 
 class PreconditionError(HydraError, ValueError):
@@ -41,25 +46,39 @@ class PreconditionError(HydraError, ValueError):
     did.
     """
 
+    exit_code = EXIT_PRECONDITION
+
 
 class ResourceLimitError(HydraError, RuntimeError):
     """The requested computation exceeds a resource guard."""
+
+    exit_code = EXIT_RESOURCE
 
 
 class NumericalCheckError(HydraError, RuntimeError):
     """A floating-point result missed the tolerance it is checked
     against (a solver residual, the imaginary mass of an inversion)."""
 
+    exit_code = EXIT_NUMERICAL
+
 
 def _guard_size(base: int, exponent: int, what: str,
                 allow_large: bool | None = None) -> None:
     """Refuse a negative exponent, and more than ENUMERATION_CAP
     base**exponent states unless allow_large is set (None when the
-    caller offers no override); called before anything is allocated."""
+    caller offers no override); called before anything is allocated.
+    From |base| >= 2 and 2**exponent > ENUMERATION_CAP on, the sign of
+    base**exponent decides, so the power is built only below that."""
     if exponent < 0:
         raise ValueError(
             f"need {base}**n {what} with n >= 0, got n = {exponent}")
-    if not allow_large and base ** exponent > ENUMERATION_CAP:
+    if allow_large:
+        return
+    if abs(base) >= 2 and exponent >= ENUMERATION_CAP.bit_length():
+        too_many = base > 0 or exponent % 2 == 0
+    else:
+        too_many = base ** exponent > ENUMERATION_CAP
+    if too_many:
         hint = "" if allow_large is None else "; pass allow_large to override"
         raise ResourceLimitError(
             f"{base}**{exponent} {what} exceed the {ENUMERATION_CAP} cap{hint}")

@@ -236,6 +236,11 @@ def center_map(
     conjugate fails integer closure are skipped.  Returns the first
     (centered validated map, a), or None when no admissible shift exists
     (e.g. r_0 = 1 with c_0 != 0).
+
+    With r_0 != 1 the only candidate is c_0/(1 - r_0).  With r_0 = 1
+    and c_0 = 0 every shift centers, and closure of the conjugate
+    depends only on a mod lcm(den r_j), so |a| <= that lcm meets every
+    class: the search is O(lcm) however large the bound.
     """
     if bound < 0:
         raise ValueError(f"need bound >= 0, got {bound}")
@@ -246,9 +251,15 @@ def center_map(
         p, raw = H
         data = [(Fraction(r), Fraction(c)) for r, c in raw]
     r0, c0 = data[0]
-    for a in _by_magnitude(bound):
-        if r0 * a + c0 - a != 0:
-            continue
+    if r0 != 1:
+        a = c0 / (1 - r0)
+        shifts = [int(a)] if a.denominator == 1 and abs(a) <= bound else []
+    elif c0 != 0:
+        shifts = []
+    else:
+        period = math.lcm(*(r.denominator for r, _ in data))
+        shifts = _by_magnitude(min(bound, period))
+    for a in shifts:
         specs = [(r, r * a + c - a) for r, c in data]
         try:
             candidate = build_hydra(p, specs)

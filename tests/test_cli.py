@@ -3,14 +3,17 @@ in fresh interpreters where the import itself is under test."""
 
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import hydramaps
-from hydramaps import MapSpecError, cli, exact, fourier, numen
+from hydramaps import (HydraError, MapSpecError, cli, errors, exact, fourier,
+                       numen)
 from hydramaps.cli import format_report, main, parse_map_spec
 
 
@@ -471,6 +474,155 @@ class TestCorrespond:
         code, _, _ = run(capsys, ["correspond", "--map", str(path),
                                   "--range=-5:5"])
         assert code == 3
+
+
+# ---------------------------------------------------------------------------
+# the failure contract: every argv ends with its documented exit code, and
+# a failure with one error: line and no traceback
+
+EDGE_MAPS = {
+    "improper": {"p": 2, "branches": [{"r": "1", "c": "0"},
+                                      {"r": "3/2", "c": "1/2"}]},
+    "zero": {"p": 2, "branches": [{"r": "0", "c": "0"},
+                                  {"r": "3/2", "c": "1/2"}]},
+    "noclose": {"p": 2, "branches": [{"r": "1/2", "c": "1/3"},
+                                     {"r": "3/2", "c": "1/2"}]},
+    "anchor": NON_INTEGRAL_ANCHOR,
+}
+
+
+@pytest.fixture(scope="module")
+def edge_maps(tmp_path_factory, t3_path):
+    root = tmp_path_factory.mktemp("edge")
+    paths = {"t3": t3_path, "missing": str(root / "no-such-file.json")}
+    for name, doc in EDGE_MAPS.items():
+        paths[name] = str(root / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(doc))
+    paths["bad"] = str(root / "bad.json")
+    Path(paths["bad"]).write_text("{not json")
+    return paths
+
+
+# (exit code, map, argv); the map is given as --map after the argv
+CONTRACT = [
+    (0, "t3", ["analyze"]),
+    (0, "t3", ["analyze", "--places", "7,inf"]),
+    (0, "anchor", ["analyze"]),
+    (2, "t3", ["analyze", "--places", "4"]),
+    (2, "t3", ["analyze", "--places", "foo,inf"]),
+    (2, "bad", ["analyze"]),
+    (2, "zero", ["analyze"]),
+    (2, "noclose", ["analyze"]),
+    (2, "missing", ["analyze"]),
+    (0, "t3", ["orbit", "--start", "7"]),
+    (0, "t3", ["orbit", "--start", "27", "--max-steps", "5"]),
+    (2, "t3", ["orbit", "--start", "7", "--max-steps", "-3"]),
+    (2, "t3", ["orbit", "--start", "7", "--escape", "-1"]),
+    (2, "bad", ["orbit", "--start", "1"]),
+    (0, "t3", ["cycles", "--range=-50:50"]),
+    (2, "t3", ["cycles", "--range", "10:1"]),
+    (2, "t3", ["cycles", "--range", "nope"]),
+    (2, "t3", ["cycles", "--range", "a:b"]),
+    (2, "t3", ["cycles", "--range=-5:5", "--max-steps", "0"]),
+    (0, "t3", ["numen", "--at", "27"]),
+    (0, "t3", ["numen", "--at", "7", "--depth", "3"]),
+    (0, "t3", ["numen", "--at-rational=-3/7"]),
+    (0, "t3", ["numen", "--at-rational=-3/7", "--place", "3"]),
+    (2, "t3", ["numen"]),
+    (2, "t3", ["numen", "--at", "3", "--at-rational", "5"]),
+    (2, "t3", ["numen", "--at=-3"]),
+    (2, "t3", ["numen", "--at-rational", "1/x"]),
+    (2, "t3", ["numen", "--at-rational", "1e-5"]),
+    (2, "t3", ["numen", "--at-rational=-3/7", "--place", "4"]),
+    (3, "t3", ["numen", "--at-rational=-1/3", "--place", "2"]),
+    (3, "t3", ["numen", "--at-rational", "1/2"]),
+    (3, "improper", ["numen", "--at", "5"]),
+    (0, "t3", ["charfn", "--place", "3", "--level", "2"]),
+    (0, "t3", ["charfn", "--place", "3", "--level", "1", "--format", "csv"]),
+    (0, "t3", ["charfn", "--place", "3", "--level", "1", "--method",
+               "estimate", "--depth", "8"]),
+    (2, "t3", ["charfn", "--place", "inf", "--level", "1"]),
+    (2, "t3", ["charfn", "--place", "4", "--level", "1"]),
+    (2, "t3", ["charfn", "--place", "3", "--level", "-1"]),
+    (3, "t3", ["charfn", "--place", "2", "--level", "1"]),
+    (3, "improper", ["charfn", "--place", "3", "--level", "1"]),
+    (4, "t3", ["charfn", "--place", "3", "--level", "16"]),
+    (4, "t3", ["charfn", "--place", "3", "--level", "16", "--method",
+               "estimate", "--depth", "4"]),
+    (4, "t3", ["charfn", "--place", "3", "--level", "5000000"]),
+    (0, "t3", ["dist", "--place", "3", "--exponent", "1"]),
+    (0, "t3", ["dist", "--place", "3", "--exponent", "2", "--format", "csv"]),
+    (0, "t3", ["dist", "--place", "3", "--exponent", "1",
+               "--compare-empirical", "--depth", "10"]),
+    (0, "anchor", ["dist", "--place", "7", "--exponent", "1", "--method",
+                   "empirical", "--depth", "8"]),
+    (2, "t3", ["dist", "--place", "inf", "--exponent", "1"]),
+    (2, "t3", ["dist", "--place", "3", "--exponent", "-1"]),
+    (3, "t3", ["dist", "--place", "2", "--exponent", "1"]),
+    (4, "t3", ["dist", "--place", "3", "--exponent", "1", "--method",
+               "empirical", "--depth", "30"]),
+    (4, "t3", ["dist", "--place", "3", "--exponent", "16"]),
+    (4, "t3", ["dist", "--place", "3", "--exponent", "5000000"]),
+    (0, "t3", ["correspond", "--range=-50:50", "--scan-length", "6"]),
+    (0, "t3", ["correspond", "--range=-50:50", "--place", "3",
+               "--scan-length", "6"]),
+    (2, "t3", ["correspond", "--range=-5:5", "--escape", "-1"]),
+    (2, "t3", ["correspond", "--range=0:10", "--place", "4"]),
+    (2, "t3", ["correspond", "--range=0:10", "--scan-length", "0"]),
+    (3, "improper", ["correspond", "--range=-5:5"]),
+    (4, "t3", ["correspond", "--range=0:10", "--scan-length", "24"]),
+    (4, "t3", ["correspond", "--range=0:10", "--scan-length", "14283"]),
+    (4, "t3", ["correspond", "--range=0:10", "--scan-length", "14284"]),
+    (4, "t3", ["correspond", "--range=0:10", "--scan-length", "30000"]),
+    (2, None, ["bogus"]),
+    (2, None, ["orbit"]),
+    (2, None, []),
+]
+
+
+@pytest.mark.parametrize("code,map_name,argv", CONTRACT)
+def test_failure_contract(capsys, edge_maps, code, map_name, argv):
+    if map_name is not None:
+        argv = argv + ["--map", edge_maps[map_name]]
+    got, out, err = run(capsys, argv)
+    assert got == code, err
+    assert "Traceback" not in err
+    if code == 0:
+        assert out and err == ""
+    else:
+        assert out == ""
+        assert [line for line in err.splitlines() if "error:" in line] \
+            == [err.splitlines()[-1]]
+
+
+@pytest.mark.parametrize("length", [14284, 30000])
+def test_scan_length_refused_at_once(capsys, t3_path, length):
+    # counting the words of such a length built a 4,300-digit integer
+    # and more before the refusal
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["correspond", "--map", t3_path,
+                                  "--range=0:10", "--scan-length",
+                                  str(length)])
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (4, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) < 200
+    assert f"length-{length}" in err
+
+
+def test_exit_codes_match_the_readme():
+    # README's exit-code table names the error classes behind each code
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    table = {}
+    for line in readme.read_text().splitlines():
+        cells = [cell.strip() for cell in line.split("|")[1:-1]]
+        if len(cells) == 3 and cells[0].isdigit():
+            for name in re.findall(r"`(\w+)`", cells[1]):
+                table[name] = int(cells[0])
+    concrete = {cls.__name__ for cls in HydraError.__subclasses__()}
+    assert set(table) == concrete
+    for name, code in table.items():
+        assert getattr(errors, name).exit_code == code
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -31,7 +32,7 @@ from hydramaps import (
     valuation,
 )
 from hydramaps import exact
-from hydramaps.errors import MapSpecError, ResourceLimitError
+from hydramaps.errors import MapSpecError, ResourceLimitError, _guard_size
 
 
 def _random_rational(rng, span=400):
@@ -199,6 +200,15 @@ def test_digit_expansion_rejects_non_integral():
         digit_expansion(F(1, 3), 6)
     with pytest.raises(NotPIntegralError):
         digit_expansion(F(-5, 12), 6)
+
+
+def test_guard_size_decides_without_the_power():
+    # 3**(5 * 10**6) took about 1.5 s to build before the comparison
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError,
+                       match=r"3\*\*5000000 frequencies exceed"):
+        _guard_size(3, 5 * 10 ** 6, "frequencies")
+    assert time.perf_counter() - start < 0.05
 
 
 def test_digit_expansion_cap(monkeypatch):

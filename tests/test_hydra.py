@@ -1,6 +1,7 @@
 """Tests for branch-map construction, closure checks, and digit strings."""
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -173,6 +174,50 @@ class TestCenterMap:
     def test_bound_must_be_nonnegative(self, t3):
         with pytest.raises(ValueError):
             center_map(t3, -1)
+
+    def test_matches_the_linear_search(self):
+        def linear(p, raw, bound):
+            # every |a| <= bound in the order 0, 1, -1, 2, -2, ...
+            data = [(F(r), F(c)) for r, c in raw]
+            r0, c0 = data[0]
+            for a in [0] + [s * m for m in range(1, bound + 1)
+                            for s in (1, -1)]:
+                if r0 * a + c0 - a != 0:
+                    continue
+                try:
+                    return build_hydra(
+                        p, [(r, r * a + c - a) for r, c in data]), a
+                except MapSpecError:
+                    continue
+            return None
+
+        rng = random.Random(26)
+        found = unit = 0
+        for _ in range(600):
+            p = rng.randint(2, 6)
+            raw = [(F(rng.choice([-3, -1, 1, 3, 5, 7]), rng.choice([1, p])),
+                    F(rng.randint(-6, 6), rng.choice([1, 2, 3, p])))
+                   for _ in range(p)]
+            mode = rng.random()
+            if mode < 0.3:      # every shift centers
+                raw[0] = (F(1), F(0))
+            elif mode < 0.6:    # the one candidate is an integer
+                r0 = raw[0][0]
+                raw[0] = (r0, (1 - r0) * rng.randint(-30, 30))
+            bound = rng.randint(0, 25)
+            want = linear(p, raw, bound)
+            assert center_map((p, raw), bound) == want, (p, raw, bound)
+            found += want is not None
+            unit += want is not None and raw[0][0] == 1
+        assert unit > 40 and found - unit > 15
+
+    def test_large_bound_is_not_walked(self):
+        # r_0 != 1 leaves the one candidate c_0/(1 - r_0) = 2/3; a walk
+        # over |a| <= 10**5 took about a second
+        start = time.perf_counter()
+        assert center_map((2, [(F(1, 2), F(1, 3)), (F(3, 2), F(1, 2))]),
+                          10 ** 5) is None
+        assert time.perf_counter() - start < 0.05
 
 
 # ---------------------------------------------------------------------------
